@@ -10,9 +10,10 @@
 //!   here the original-pair block is **virtual** — endpoints are implicit
 //!   and only the reflected `(n+1)²` weight block is staged (those values
 //!   are needed anyway for the dual upper bound),
-//! * rows for contracted blossoms live in compact representative-edge
-//!   tables that are written **lazily**, only when a blossom actually
-//!   forms (rare on decoding-graph syndromes),
+//! * representative edges for contracted blossoms live in tables holding
+//!   one `(2n+1)`-wide row per blossom id the solve has formed; a row is
+//!   added only when a new id is first used (rare on decoding-graph
+//!   syndromes), so a blossom-free solve touches none of them,
 //! * all state lives in a persistent [`SparseBlossomScratch`] arena:
 //!   buffers grow monotonically, the LCA `vis` stamps are epoch-validated
 //!   instead of cleared, and member walks iterate in place instead of
@@ -247,6 +248,26 @@ impl SparseSolver<'_> {
         0
     }
 
+    /// Makes sure blossom ids `n+1..=n_x` each have a representative row,
+    /// a representative column and a `flower_from` row. Rows are only
+    /// added when a new id is first used, so a solve touches memory in
+    /// proportion to the blossoms it forms; new rows are zeroed by the
+    /// resize and then overwritten by `add_blossom` before any read.
+    fn grow_blossom_rows(&mut self) {
+        let rows = self.n_x - self.n;
+        if self.sc.rep_row.len() < rows * self.stride {
+            self.sc
+                .rep_row
+                .resize(rows * self.stride, RepEdge::default());
+            self.sc
+                .rep_col
+                .resize(rows * self.stride, RepEdge::default());
+        }
+        if self.sc.flower_from.len() < rows * self.wn {
+            self.sc.flower_from.resize(rows * self.wn, 0);
+        }
+    }
+
     fn add_blossom(&mut self, u: usize, lca: usize, v: usize) {
         let mut b = self.n + 1;
         while b <= self.n_x && self.sc.st[b] != 0 {
@@ -254,6 +275,7 @@ impl SparseSolver<'_> {
         }
         if b > self.n_x {
             self.n_x += 1;
+            self.grow_blossom_rows();
         }
         self.sc.lab[b] = 0;
         self.sc.s[b] = 0;
@@ -554,13 +576,8 @@ pub fn min_weight_perfect_matching_scratch(
         scratch.st[u] = u;
         scratch.mate[u] = 0;
     }
-    if scratch.rep_row.len() < n * stride {
-        scratch.rep_row.resize(n * stride, RepEdge::default());
-        scratch.rep_col.resize(n * stride, RepEdge::default());
-    }
-    if scratch.flower_from.len() < n * wn {
-        scratch.flower_from.resize(n * wn, 0);
-    }
+    // Blossom rows (`rep_row`, `rep_col`, `flower_from`) are grown by
+    // `add_blossom` as ids are first used, never up front.
     while scratch.flower.len() < stride {
         scratch.flower.push(Vec::new());
     }
@@ -651,6 +668,39 @@ mod tests {
         assert_eq!(mate, dense_mate);
     }
 
+    /// Solves `(n, w)` on `scratch` and asserts the total and every mate
+    /// match the dense oracle.
+    fn assert_matches_dense(
+        n: usize,
+        w: impl Fn(usize, usize) -> i64 + Copy,
+        scratch: &mut SparseBlossomScratch,
+        label: &str,
+    ) {
+        let total = min_weight_perfect_matching_scratch(n, w, scratch);
+        let (dense_mate, dense_total) = dense_blossom::min_weight_perfect_matching(n, w);
+        assert_eq!(total, dense_total, "total diverged at {label}");
+        for (u, &dm) in dense_mate.iter().enumerate() {
+            assert_eq!(
+                scratch.mate[u + 1] - 1,
+                dm,
+                "mate diverged at {label} vertex {u}"
+            );
+        }
+    }
+
+    /// Weights in 1..=8: low spread → many tight edges, frequent blossoms.
+    fn low_spread(seed: u64) -> impl Fn(usize, usize) -> i64 + Copy {
+        move |u: usize, v: usize| {
+            let (u, v) = (u.min(v), u.max(v));
+            ((((u as u64).wrapping_mul(7919)
+                ^ (v as u64).wrapping_mul(104729)
+                ^ seed.wrapping_mul(0x9e3779b97f4a7c15))
+            .wrapping_mul(0x2545f4914f6cdd1d))
+                >> 61) as i64
+                + 1
+        }
+    }
+
     /// The core contract: bit-identical mate assignment to the dense
     /// solver on pseudo-random complete graphs, with ONE arena reused
     /// across every instance and the vertex count varying between calls
@@ -670,21 +720,43 @@ mod tests {
                             % 251
                             + 1
                     };
-                    let total = min_weight_perfect_matching_scratch(n, w, &mut scratch);
-                    let (dense_mate, dense_total) =
-                        dense_blossom::min_weight_perfect_matching(n, w);
-                    assert_eq!(total, dense_total, "total diverged at n={n} seed={seed}");
-                    for (u, &dm) in dense_mate.iter().enumerate().take(n) {
-                        assert_eq!(
-                            scratch.mate[u + 1] - 1,
-                            dm,
-                            "mate diverged at n={n} seed={seed} vertex {u}"
-                        );
-                    }
+                    assert_matches_dense(n, w, &mut scratch, &format!("n={n} seed={seed}"));
                 }
             }
         }
         assert_eq!(scratch.solves, 3 * 9 * 12);
+
+        // Blossom rows are only grown for ids a solve forms: solves
+        // without a blossom leave the tables untouched.
+        let mut fresh = SparseBlossomScratch::new();
+        assert_matches_dense(2, |_, _| 7, &mut fresh, "blossom-free n=2");
+        let pairs = |u: usize, v: usize| match (u.min(v), u.max(v)) {
+            (0, 1) | (2, 3) => 1,
+            _ => 10,
+        };
+        assert_matches_dense(4, pairs, &mut fresh, "blossom-free n=4");
+        assert!(fresh.rep_row.is_empty());
+        assert!(fresh.rep_col.is_empty());
+        assert!(fresh.flower_from.is_empty());
+
+        // Large n with many blossoms, then a small n, then large again:
+        // rows left by a wider stride never leak into a later solve.
+        let mut reused = SparseBlossomScratch::new();
+        for (i, &n) in [40usize, 6, 40, 10, 32].iter().enumerate() {
+            for seed in 0..6u64 {
+                let seed = seed + 1000 * i as u64;
+                assert_matches_dense(
+                    n,
+                    low_spread(seed),
+                    &mut reused,
+                    &format!("large/small/large n={n} seed={seed}"),
+                );
+            }
+        }
+        assert!(
+            reused.rep_row.len() > 2 * 81,
+            "the n = 40 solves must form blossoms for this case to mean anything"
+        );
     }
 
     /// Low-spread weights force many tight edges and frequent blossoms;
@@ -694,26 +766,12 @@ mod tests {
         let mut scratch = SparseBlossomScratch::new();
         for &n in &[6usize, 8, 10, 12, 14, 16, 18, 24] {
             for seed in 0..20u64 {
-                // Weights in 1..=8: low spread → many tight edges.
-                let wi = move |u: usize, v: usize| {
-                    let (u, v) = (u.min(v), u.max(v));
-                    ((((u as u64).wrapping_mul(7919)
-                        ^ (v as u64).wrapping_mul(104729)
-                        ^ seed.wrapping_mul(0x9e3779b97f4a7c15))
-                    .wrapping_mul(0x2545f4914f6cdd1d))
-                        >> 61) as i64
-                        + 1
-                };
-                let total = min_weight_perfect_matching_scratch(n, wi, &mut scratch);
-                let (dense_mate, dense_total) = dense_blossom::min_weight_perfect_matching(n, wi);
-                assert_eq!(total, dense_total, "total diverged at n={n} seed={seed}");
-                for (u, &dm) in dense_mate.iter().enumerate().take(n) {
-                    assert_eq!(
-                        scratch.mate[u + 1] - 1,
-                        dm,
-                        "mate diverged at n={n} seed={seed} vertex {u}"
-                    );
-                }
+                assert_matches_dense(
+                    n,
+                    low_spread(seed),
+                    &mut scratch,
+                    &format!("n={n} seed={seed}"),
+                );
             }
         }
     }

@@ -39,11 +39,11 @@ pub struct RepEdge {
 ///
 /// The dense formulation stages a `(2n+1)²` edge matrix per shot; this
 /// arena instead keeps only the `(n+1)²` reflected weight block (needed
-/// anyway for the dual bound) plus **compact blossom-row tables** that
-/// are written lazily, only when a blossom actually forms. Buffers grow
-/// monotonically and are re-stamped per solve, so consecutive hard shots
-/// in a tile reuse every allocation: steady-state deep-tail decoding
-/// performs no heap traffic at all.
+/// anyway for the dual bound) plus **blossom-row tables** with one row
+/// per blossom id a solve has formed, added only when a new id is first
+/// used. Buffers grow monotonically and are re-stamped per solve, so
+/// consecutive hard shots in a tile reuse every allocation: steady-state
+/// deep-tail decoding performs no heap traffic at all.
 ///
 /// Stale contents are deliberately allowed to survive between solves —
 /// the solver's invariant is that every blossom-indexed slot is written
@@ -74,14 +74,15 @@ pub struct SparseBlossomScratch {
     /// Monotone stamp for `vis`; never reset, so `vis` itself is never
     /// cleared between solves.
     pub vis_epoch: usize,
-    /// Representative edges for blossom rows `g[b][x]`, compact
-    /// `n × (2n+1)` layout (row `b - n - 1`).
+    /// Representative edges for blossom rows `g[b][x]`: one `(2n+1)`-wide
+    /// row (row `b - n - 1`) per blossom id a solve has formed, grown when
+    /// a new id is first used.
     pub rep_row: Vec<RepEdge>,
     /// Representative edges for blossom columns `g[x][b]` with `x ≤ n`,
-    /// same compact layout.
+    /// same per-formed-blossom row layout.
     pub rep_col: Vec<RepEdge>,
-    /// For each blossom row: which member subsumed original vertex `x`
-    /// (`0` = none), compact `n × (n+1)` layout.
+    /// For each formed blossom: which member subsumed original vertex `x`
+    /// (`0` = none), one `(n+1)`-wide row per blossom id.
     pub flower_from: Vec<usize>,
     /// Blossom member cycles (index `b`); member vectors keep capacity.
     pub flower: Vec<Vec<usize>>,

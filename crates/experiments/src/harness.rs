@@ -188,7 +188,10 @@ impl SyndromeSource {
 /// (per-word-column seeding plus order-independent accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Packed words per tile (≤ 64·`tile_words` shots each).
+    /// Upper bound on packed words per tile (≤ 64·`tile_words` shots
+    /// each). Runs are cut with [`TileLayout::for_consumers`], so a run
+    /// shorter than one full tile per consumer gets narrower tiles
+    /// instead of leaving consumers idle.
     pub tile_words: usize,
     /// Sampler (producer) threads.
     pub producers: usize,
@@ -454,8 +457,11 @@ pub fn decode_batch_ler<'a>(
 /// producers sample packed tiles and consumers screen + decode them
 /// concurrently, overlapping sampling and decoding end-to-end.
 ///
-/// Producer `p` samples tiles `p, p + P, p + 2P, …` of the
-/// [`TileLayout`] and sends them over a bounded channel; consumers pull
+/// The run is cut with [`TileLayout::for_consumers`], so every consumer
+/// gets a tile even when the run is shorter than one full tile per
+/// consumer; producer and consumer threads are both clamped to the tile
+/// count. Producer `p` samples tiles `p, p + P, p + 2P, …` of the
+/// layout and sends them over a bounded channel; consumers pull
 /// from a shared [`TileQueue`] (dynamic load balancing), screen each tile
 /// word-parallel, and decode only the Hamming-weight ≥ 3 shots with the
 /// real decoder ([`astrea_core::pipeline::decode_tile`]). The result is
@@ -492,9 +498,10 @@ pub fn estimate_ler_streamed_counted<'a>(
     if trials == 0 {
         return (result, PipelineCounters::default());
     }
-    let layout = TileLayout::new(trials as usize, config.tile_words.max(1));
-    let producers = config.producers.max(1).min(layout.num_tiles());
     let consumers = config.consumers.max(1);
+    let layout = TileLayout::for_consumers(trials as usize, config.tile_words.max(1), consumers);
+    let producers = config.producers.max(1).min(layout.num_tiles());
+    let consumers = consumers.min(layout.num_tiles());
     let (tx, rx) = tile_channel(config.channel_depth);
     let queue = TileQueue::new(rx);
     let (outcome, counters) = std::thread::scope(|scope| {

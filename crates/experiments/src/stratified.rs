@@ -139,8 +139,9 @@ pub fn estimate_stratified<'a>(
         .map(|k| {
             let n = trials_per_k as usize;
             let stratum_seed = seed ^ ((k as u64) << 32);
-            let layout = TileLayout::new(n, DEFAULT_TILE_WORDS);
+            let layout = TileLayout::for_consumers(n, DEFAULT_TILE_WORDS, threads);
             let producers = (threads / 4).max(1).min(layout.num_tiles().max(1));
+            let consumers = threads.min(layout.num_tiles());
             let (tx, rx) = tile_channel(DEFAULT_CHANNEL_DEPTH);
             let queue = TileQueue::new(rx);
             let failures: u64 = std::thread::scope(|scope| {
@@ -184,7 +185,7 @@ pub fn estimate_stratified<'a>(
                     });
                 }
                 drop(tx);
-                let handles: Vec<_> = (0..threads)
+                let handles: Vec<_> = (0..consumers)
                     .map(|_| {
                         let queue = queue.clone();
                         scope.spawn(move || {

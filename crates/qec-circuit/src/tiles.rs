@@ -1,7 +1,7 @@
 //! Tile iteration over packed sampling runs — the producer half of the
 //! streaming sampler→decoder pipeline.
 //!
-//! A long word-parallel sampling run is cut into fixed-size *tiles*:
+//! A long word-parallel sampling run is cut into size-capped *tiles*:
 //! contiguous, word-aligned blocks of packed shot columns small enough to
 //! stay cache-resident while they are produced, shipped over a channel,
 //! and screened/decoded. [`TileLayout`] does the word arithmetic,
@@ -88,12 +88,16 @@ impl SyndromeTile {
 /// The word-aligned tiling of a `total_shots` run into tiles of at most
 /// `tile_words` packed words (≤ `64 · tile_words` shots) each.
 ///
-/// Every tile except possibly the last spans exactly `tile_words` words;
-/// the last covers whatever shots remain (its final word may be partial).
+/// The first `wide_tiles` tiles span exactly `tile_words` words and the
+/// rest one word fewer; the last tile covers whatever shots remain (its
+/// final word may be partial). [`TileLayout::new`] makes every tile wide;
+/// [`TileLayout::for_consumers`] balances the widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileLayout {
     total_shots: usize,
     tile_words: usize,
+    num_tiles: usize,
+    wide_tiles: usize,
 }
 
 impl TileLayout {
@@ -104,9 +108,50 @@ impl TileLayout {
     /// Panics if `tile_words` is zero.
     pub fn new(total_shots: usize, tile_words: usize) -> TileLayout {
         assert!(tile_words > 0, "tile_words must be at least 1");
+        let num_tiles = total_shots.div_ceil(64).div_ceil(tile_words);
         TileLayout {
             total_shots,
             tile_words,
+            num_tiles,
+            wide_tiles: num_tiles,
+        }
+    }
+
+    /// Lays out `total_shots` shots for `consumers` decoding threads, in
+    /// tiles of at most `max_tile_words` words.
+    ///
+    /// The run's `⌈total_shots / 64⌉` words are cut into the fewest tiles
+    /// that respect the cap, rounded up to a multiple of `consumers` (but
+    /// never more tiles than words), with widths differing by at most one
+    /// word. So a run shorter than one full tile per consumer still gives
+    /// every consumer a tile, and longer runs end without a lone straggler.
+    /// A `consumers` of zero counts as one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_tile_words` is zero.
+    pub fn for_consumers(
+        total_shots: usize,
+        max_tile_words: usize,
+        consumers: usize,
+    ) -> TileLayout {
+        assert!(max_tile_words > 0, "tile_words must be at least 1");
+        let words = total_shots.div_ceil(64);
+        let num_tiles = words
+            .div_ceil(max_tile_words)
+            .next_multiple_of(consumers.max(1))
+            .min(words);
+        if num_tiles == 0 {
+            return TileLayout::new(total_shots, max_tile_words);
+        }
+        let tile_words = words.div_ceil(num_tiles);
+        // `words = wide · tile_words + (num_tiles − wide) · (tile_words − 1)`.
+        let wide_tiles = words - num_tiles * (tile_words - 1);
+        TileLayout {
+            total_shots,
+            tile_words,
+            num_tiles,
+            wide_tiles,
         }
     }
 
@@ -122,7 +167,7 @@ impl TileLayout {
 
     /// Number of tiles (zero when `total_shots` is zero).
     pub fn num_tiles(&self) -> usize {
-        self.total_shots.div_ceil(64).div_ceil(self.tile_words)
+        self.num_tiles
     }
 
     /// The global first word and shot count of tile `index`.
@@ -131,13 +176,10 @@ impl TileLayout {
     ///
     /// Panics if `index` is out of range.
     pub fn tile(&self, index: usize) -> (usize, usize) {
-        assert!(
-            index < self.num_tiles(),
-            "tile {index} of {}",
-            self.num_tiles()
-        );
-        let first_word = index * self.tile_words;
-        let end_shot = ((first_word + self.tile_words) * 64).min(self.total_shots);
+        assert!(index < self.num_tiles, "tile {index} of {}", self.num_tiles);
+        let first_word = index * self.tile_words - index.saturating_sub(self.wide_tiles);
+        let words = self.tile_words - usize::from(index >= self.wide_tiles);
+        let end_shot = ((first_word + words) * 64).min(self.total_shots);
         (first_word, end_shot - first_word * 64)
     }
 
@@ -280,6 +322,55 @@ mod tests {
     #[test]
     fn empty_layout_has_no_tiles() {
         assert_eq!(TileLayout::new(0, 4).num_tiles(), 0);
+        assert_eq!(TileLayout::for_consumers(0, 4, 3).num_tiles(), 0);
+    }
+
+    #[test]
+    fn consumer_layout_covers_every_shot_once_within_the_cap() {
+        for shots in [1usize, 63, 64, 65, 128, 200, 320, 1000, 8192, 250_000] {
+            for max_tile_words in [1usize, 2, 3, 5, 128] {
+                for consumers in [0usize, 1, 2, 3, 4, 7] {
+                    let layout = TileLayout::for_consumers(shots, max_tile_words, consumers);
+                    let words = shots.div_ceil(64);
+                    let ctx = format!("shots {shots} max {max_tile_words} consumers {consumers}");
+                    assert!(
+                        layout.num_tiles() >= words.min(consumers.max(1)),
+                        "{ctx}: {} tiles",
+                        layout.num_tiles()
+                    );
+                    assert!(layout.tile_words() <= max_tile_words, "{ctx}");
+                    let mut covered = 0usize;
+                    for (first_word, n) in layout.iter() {
+                        assert_eq!(first_word * 64, covered, "{ctx}: gap or overlap");
+                        assert!(n > 0, "{ctx}: empty tile");
+                        assert!(n <= max_tile_words * 64, "{ctx}: tile over the cap");
+                        covered += n;
+                    }
+                    assert_eq!(covered, shots, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn consumer_layout_rounds_tiles_to_the_consumer_count() {
+        // One tile's worth of words still feeds both consumers.
+        let deep = TileLayout::for_consumers(128, 128, 2);
+        assert_eq!(deep.num_tiles(), 2);
+        assert_eq!(deep.iter().collect::<Vec<_>>(), vec![(0, 64), (1, 64)]);
+        // 3907 words: 31 capped tiles become 32, none wider than 123 words.
+        let high = TileLayout::for_consumers(250_000, 128, 2);
+        assert_eq!((high.num_tiles(), high.tile_words()), (32, 123));
+        // Never more tiles than words; long runs only round up.
+        assert_eq!(TileLayout::for_consumers(130, 128, 8).num_tiles(), 3);
+        assert_eq!(
+            TileLayout::for_consumers(8_000_000, 128, 1).num_tiles(),
+            977
+        );
+        assert_eq!(
+            TileLayout::for_consumers(8_000_000, 128, 2).num_tiles(),
+            978
+        );
     }
 
     #[test]

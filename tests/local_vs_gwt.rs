@@ -19,6 +19,8 @@
 use std::sync::{Arc, OnceLock};
 
 use astrea::prelude::*;
+use astrea_core::PipelineCounters;
+use astrea_experiments::estimate_ler_streamed_counted;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -165,6 +167,55 @@ fn streamed_pipeline_agrees_across_tiles_and_threads() {
                 match &reference {
                     None => reference = Some(rl),
                     Some(r) => assert_eq!(&rl, r, "d = {}", g.distance),
+                }
+            }
+        }
+    }
+}
+
+/// Runs shorter than one full tile per consumer: with the default tile
+/// cap every such run used to be one tile, so only one consumer decoded.
+/// Cut across 1–3 consumers, a GWT-free run must still reproduce the
+/// barrier path, and the counters that do not depend on which consumer
+/// drew which tile must not move either.
+#[test]
+fn small_runs_split_across_consumers_match_barrier() {
+    let factory: Box<astrea_experiments::DecoderFactory> = Box::new(|c: &ExperimentContext| {
+        Box::new(MwpmDecoder::for_context(c.decoding())) as Box<dyn Decoder + '_>
+    });
+    let schedule_free = |c: &PipelineCounters| {
+        [
+            c.shots_screened,
+            c.trivial_shots,
+            c.hw1_shots,
+            c.hw2_shots,
+            c.closed_form_shots,
+            c.hard_cache_hits + c.dp_shots,
+            c.sparse_blossom_shots,
+            c.hw1_key_lookups,
+            c.hw2_key_lookups,
+        ]
+    };
+    for (_, l) in grid().iter().filter(|(g, _)| g.distance <= 9) {
+        for trials in [64u64, 128, 200] {
+            let barrier = estimate_ler_barrier(l, trials, 2, 29, &*factory);
+            let mut reference = None;
+            for consumers in [1usize, 2, 3] {
+                let config = PipelineConfig {
+                    consumers,
+                    ..PipelineConfig::for_threads(1)
+                };
+                let (streamed, counters) =
+                    estimate_ler_streamed_counted(l, trials, 29, &*factory, config);
+                let label = format!(
+                    "d = {}: {trials} trials × {consumers} consumers",
+                    l.distance
+                );
+                assert_eq!(streamed, barrier, "{label}");
+                assert_eq!(counters.shots_screened, trials, "{label}");
+                match &reference {
+                    None => reference = Some(schedule_free(&counters)),
+                    Some(r) => assert_eq!(&schedule_free(&counters), r, "{label}"),
                 }
             }
         }

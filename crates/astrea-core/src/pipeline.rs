@@ -1354,32 +1354,43 @@ mod tests {
 
     #[test]
     fn counters_account_for_every_screened_shot() {
-        // Error rate high enough to populate every stage, including the
-        // deep sparse-blossom band; the per-stage counters must sum back
-        // to the number of screened shots.
-        let ctx = ctx(5, 3e-2);
+        // Two streams through one scratch: p = 3e-2 populates the DP,
+        // hard-cache and deep sparse-blossom bands, p = 1e-3 the trivial,
+        // HW ≤ 2 and closed-form tiers. The merged per-stage counters
+        // must sum back to the number of screened shots, with every tier
+        // non-idle.
         let shots = 4000;
         let layout = TileLayout::new(shots, 8);
-        let mut sampler = BatchDemSampler::new(ctx.dem());
-        let mut decoder = MwpmDecoder::new(ctx.gwt());
         let mut scratch = DecodeScratch::new();
         let mut ts = TileScratch::new();
-        let mut out = StreamOutcome::default();
-        for t in 0..layout.num_tiles() {
-            let tile = sampler.sample_tile(29, &layout, t);
-            decode_tile(&mut decoder, &mut scratch, &mut ts, &tile, &mut out);
+        for p in [3e-2, 1e-3] {
+            let ctx = ctx(5, p);
+            let mut sampler = BatchDemSampler::new(ctx.dem());
+            let mut decoder = MwpmDecoder::new(ctx.gwt());
+            let mut out = StreamOutcome::default();
+            for t in 0..layout.num_tiles() {
+                let tile = sampler.sample_tile(29, &layout, t);
+                decode_tile(&mut decoder, &mut scratch, &mut ts, &tile, &mut out);
+            }
         }
         let c = *ts.counters();
-        assert_eq!(c.shots_screened, shots as u64);
+        assert_eq!(c.shots_screened, 2 * shots as u64);
         assert_eq!(
             c.tier_sum(),
             c.shots_screened,
             "stage counters do not partition the stream: {c:?}"
         );
-        assert!(
-            c.sparse_blossom_shots > 0,
-            "no deep-tail shots at p = 3e-2: {c:?}"
-        );
+        for (tier, n) in [
+            ("trivial", c.trivial_shots),
+            ("HW-1", c.hw1_shots),
+            ("HW-2", c.hw2_shots),
+            ("closed-form", c.closed_form_shots),
+            ("subset-DP", c.dp_shots),
+            ("deep sparse-blossom", c.sparse_blossom_shots),
+            ("hard-cache lookup", c.hard_cache_hits + c.hard_cache_misses),
+        ] {
+            assert!(n > 0, "{tier} tier idle: {c:?}");
+        }
         // Deep shots that decompose into small clusters are solved by the
         // per-cluster DP, so solves need not reach sparse_blossom_shots —
         // but the arena must have engaged on this stream.

@@ -9,7 +9,7 @@
 
 use astrea_bench::SyndromeCorpus;
 use astrea_experiments::ExperimentContext;
-use blossom_mwpm::{dense_blossom, subset_dp, LocalMwpmDecoder, MwpmDecoder};
+use blossom_mwpm::{dense_blossom, subset_dp, MwpmDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -73,8 +73,8 @@ fn bench_full_decoder_on_sampled_stream(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("local_mwpm_d7_p1e-3", |b| {
-        let mut dec = LocalMwpmDecoder::new(ctx.graph());
+    group.bench_function("gwt_free_mwpm_d7_p1e-3", |b| {
+        let dec = MwpmDecoder::new_local(ctx.graph(), ctx.decoding().boundary());
         b.iter(|| {
             for s in &corpus.syndromes {
                 black_box(dec.decode_full(black_box(s)));

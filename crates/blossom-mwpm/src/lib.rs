@@ -30,13 +30,11 @@
 
 mod decoder;
 pub mod dense_blossom;
-mod local;
 pub mod ondemand;
 mod solution;
 pub mod sparse_blossom;
 pub mod subset_dp;
 
 pub use decoder::{MwpmDecoder, DP_NODE_LIMIT};
-pub use local::{LocalMwpmDecoder, DEFAULT_K_NEIGHBORS};
 pub use ondemand::DeepBackend;
 pub use solution::MatchingSolution;

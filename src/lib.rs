@@ -64,7 +64,7 @@ pub mod prelude {
     pub use astrea_serve::{
         ClientSession, DecodeService, ServeConfig, ServiceStats, SubmitPolicy, WireClient,
     };
-    pub use blossom_mwpm::{DeepBackend, LocalMwpmDecoder, MwpmDecoder, DP_NODE_LIMIT};
+    pub use blossom_mwpm::{DeepBackend, MwpmDecoder, DP_NODE_LIMIT};
     pub use decoding_graph::{
         BoundaryTable, DecodeScratch, Decoder, DecodingContext, GlobalWeightTable, GraphPdScratch,
         GraphPdStats, LocalWeightProvider, LocalWeightStats, MatchingGraph, OndemandStats,

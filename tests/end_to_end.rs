@@ -282,29 +282,3 @@ fn stale_gwt_is_worse_than_reprogrammed_gwt_under_drift() {
         r_fresh.ler()
     );
 }
-
-#[test]
-fn local_mwpm_matches_full_mwpm_at_distance_9() {
-    // The sparse (GWT-free) software matcher must track full MWPM on a
-    // larger code too — the regime PyMatching-style decoding targets.
-    let ctx = ExperimentContext::new(9, 2e-3);
-    let mut local = LocalMwpmDecoder::new(ctx.graph());
-    let mut full = MwpmDecoder::new(ctx.gwt());
-    let mut sampler = DemSampler::new(ctx.dem());
-    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-    let (mut n, mut agree) = (0u32, 0u32);
-    for _ in 0..3000 {
-        let shot = sampler.sample(&mut rng);
-        if shot.detectors.is_empty() {
-            continue;
-        }
-        n += 1;
-        agree += (local.decode(&shot.detectors).observables
-            == full.decode(&shot.detectors).observables) as u32;
-    }
-    assert!(n > 1000);
-    assert!(
-        agree as f64 / n as f64 > 0.995,
-        "local/full agreement {agree}/{n} at d=9"
-    );
-}

@@ -24,8 +24,9 @@ fn every_decoder_decodes_the_repetition_code() {
         Box::new(|c| Box::new(AstreaGDecoder::new(c.gwt())) as Box<dyn Decoder>);
     let uf: Box<DecoderFactory> =
         Box::new(|c| Box::new(UnionFindDecoder::new(c.graph())) as Box<dyn Decoder>);
-    let local: Box<DecoderFactory> =
-        Box::new(|c| Box::new(LocalMwpmDecoder::new(c.graph())) as Box<dyn Decoder>);
+    let gwt_free: Box<DecoderFactory> = Box::new(|c| {
+        Box::new(MwpmDecoder::new_local(c.graph(), c.decoding().boundary())) as Box<dyn Decoder>
+    });
 
     let trivial = {
         let mut sampler = DemSampler::new(ctx.dem());
@@ -41,7 +42,7 @@ fn every_decoder_decodes_the_repetition_code() {
         ("Astrea", astrea),
         ("Astrea-G", astrea_g),
         ("UF", uf),
-        ("Local-MWPM", local),
+        ("MWPM (GWT-free)", gwt_free),
     ] {
         let r = estimate_ler(&ctx, 30_000, 2, 3, &*factory);
         assert!(

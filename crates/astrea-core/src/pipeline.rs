@@ -30,8 +30,10 @@
 //!   probe. The [`PipelineCounters`] `hw1_key_lookups`/`hw2_key_lookups`
 //!   fields count the key resolutions so benches can see the dedup.
 //! * **Closed forms (HW 3–4)** are grouped per tile by weight and
-//!   dispatched through [`Decoder::decode_same_weight_batch`], which
-//!   lets the MWPM decoder stage its weight-table gathers contiguously.
+//!   dispatched through [`Decoder::decode_same_weight_batch`]. On the
+//!   exact weight table the MWPM decoder uses it to gather every shot's
+//!   operands contiguously before solving; every other decoder and
+//!   weight view decodes the batch shot by shot.
 //! * The word sweeps themselves (ripple adder, observable OR-fold,
 //!   bucket extraction) run over 4-word chunks (`[u64; 4]` lanes that
 //!   stable rustc autovectorizes) with the `det.row(d)` slice hoisted
@@ -553,7 +555,7 @@ fn decode_tile_inner(
             // GWT-direct closed forms, batched: every shot in this band
             // has exactly `band` detectors (the bucket index saturates
             // only at the tail band), so one same-weight batch call lets
-            // the decoder stage its weight gathers contiguously.
+            // an exact-table decoder gather the operands contiguously.
             let k = band;
             cf_dets.clear();
             for &idx in bucket.iter() {

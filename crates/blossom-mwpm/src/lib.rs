@@ -1,29 +1,33 @@
 //! Exact minimum-weight perfect matching, and the idealized software MWPM
 //! decoder the Astrea paper uses as its gold-standard baseline (§3.3).
 //!
-//! Two independent exact algorithms are provided:
+//! Three exact solvers run in production, all over weights staged once
+//! per shot:
 //!
+//! * the register-only closed form
+//!   ([`subset_dp::solve_closed_form`]) for up to four detectors;
 //! * [`subset_dp`] — an `O(2^k · k)` dynamic program over subsets of the
 //!   active detectors that *natively* supports matching to the lattice
-//!   boundary. Provably optimal; practical for `k ≤ 22`.
-//! * [`dense_blossom`] — a from-scratch `O(n³)` primal–dual blossom
-//!   algorithm for maximum-weight matching on dense graphs (the same
-//!   algorithmic family as BlossomV). Minimum-weight *perfect* matching is
-//!   obtained by the standard weight reflection, and boundary matching by
-//!   the reduction `w'ᵢⱼ = min(wᵢⱼ, bᵢ + bⱼ)` plus one virtual boundary
-//!   node when the syndrome weight is odd.
+//!   boundary, with exact pruning and memoization. Provably optimal;
+//!   used up to [`DP_NODE_LIMIT`] detectors per cluster;
+//! * [`sparse_blossom`] — an `O(n³)` primal–dual blossom algorithm (the
+//!   same algorithmic family as BlossomV) on a virtual adjacency with a
+//!   persistent scratch arena, for the deep tail. Minimum-weight
+//!   *perfect* matching comes from the standard weight reflection, and
+//!   boundary matching from the reduction `w'ᵢⱼ = min(wᵢⱼ, bᵢ + bⱼ)` plus
+//!   one virtual boundary node when the syndrome weight is odd.
 //!
-//! A third solver, [`sparse_blossom`], is the production deep-tail path:
-//! the same primal–dual algorithm with all per-shot staging removed
-//! (virtual adjacency + persistent scratch arena). Its mate assignment is
-//! bit-identical to [`dense_blossom`]'s, which stays in place as the
-//! differential oracle.
+//! A fourth, [`dense_blossom`], is the oracle: the same primal–dual
+//! algorithm over a fully materialized weight matrix. The decoder never
+//! calls it; tests and property tests check that the sparse solver's
+//! mate assignment is bit-identical to it and that the decoder's optima
+//! equal it, which is the crate's correctness argument.
 //!
-//! The two are cross-validated against each other by property tests, which
-//! is the crate's correctness argument. [`MwpmDecoder`] wraps them behind
-//! the [`Decoder`](decoding_graph::Decoder) trait, using the unquantized
+//! [`MwpmDecoder`] wraps the production solvers behind the
+//! [`Decoder`](decoding_graph::Decoder) trait, using the unquantized
 //! weights of the [`GlobalWeightTable`](decoding_graph::GlobalWeightTable)
-//! — this is the paper's "idealized MWPM" reference decoder.
+//! or their GWT-free local equivalent — this is the paper's "idealized
+//! MWPM" reference decoder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,7 +22,12 @@
 //! provably behind boundary matching in both weight domains (see the
 //! [`decoding_graph::ondemand`] module docs for the full argument).
 //!
-//! [`DeepBackend`] selects between the engines. [`DeepBackend::Ondemand`]
+//! [`DeepBackend`] selects between the engines, for every entry point
+//! of the decoder alike: `decode`, `decode_with_scratch`,
+//! [`MwpmDecoder::decode_full`](crate::MwpmDecoder::decode_full) and the
+//! tile pipeline all stage a deep shot with the selected engine, so the
+//! `ondemand_vs_staged` suite compares two real engines, never one
+//! engine with itself. [`DeepBackend::Ondemand`]
 //! is the default wherever a local provider is active;
 //! [`DeepBackend::Staged`] keeps PR 8's full sweep available as the
 //! differential oracle (the `ondemand_vs_staged` CI suite proves the two

@@ -181,7 +181,7 @@ proptest! {
 
         // The production deep-tail weight closure: clamped effective
         // weights in fixed point, with a virtual boundary node when the
-        // syndrome weight is odd (mirrors `MwpmDecoder::decode_blossom`).
+        // syndrome weight is odd (mirrors the decoder's blossom reduction).
         let k = dets.len();
         let n = if k.is_multiple_of(2) { k } else { k + 1 };
         let pair_w = |i: u32, j: u32| -> f64 {

@@ -228,83 +228,6 @@ impl GlobalWeightTable {
     pub fn dequantize(&self, q: u16) -> f64 {
         q as f64 / self.scale
     }
-}
-
-/// Upper bound on the detector-list length of one batched gather:
-/// covers the closed forms (k ≤ 4) and the whole subset-DP band with
-/// headroom.
-pub const MAX_GATHER_NODES: usize = 16;
-
-/// Cache-line-aligned destination for [`GlobalWeightTable::gather_quantized`]:
-/// a row-major k×k block of quantized weights with boundary weights on
-/// the diagonal, mirroring the table's own layout so each destination row
-/// is one contiguous run the compiler can vectorize into.
-#[repr(align(64))]
-#[derive(Debug, Clone)]
-pub struct QuantizedBlock {
-    block: [u8; MAX_GATHER_NODES * MAX_GATHER_NODES],
-}
-
-impl Default for QuantizedBlock {
-    fn default() -> QuantizedBlock {
-        QuantizedBlock {
-            block: [0; MAX_GATHER_NODES * MAX_GATHER_NODES],
-        }
-    }
-}
-
-impl QuantizedBlock {
-    /// A zeroed block.
-    pub fn new() -> QuantizedBlock {
-        QuantizedBlock::default()
-    }
-
-    /// Entry `(i, j)` of the last gathered k×k block: the quantized pair
-    /// weight for `i != j`, the quantized boundary weight of `i` on the
-    /// diagonal.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> u8 {
-        self.block[i * k + j]
-    }
-}
-
-impl GlobalWeightTable {
-    /// Batched quantized gather for a sparse detector list: pulls the
-    /// whole k×k sub-block (all O(k²) pair weights plus the boundary
-    /// diagonal) in one sweep, one contiguous source row per detector.
-    ///
-    /// With `dets` sorted ascending — how syndrome extraction produces
-    /// them — every source row is read strictly left to right, so the
-    /// sweep touches each cache line of a row at most once. The inner
-    /// copy is chunked 4-wide so it unrolls without a remainder branch
-    /// per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dets.len() > MAX_GATHER_NODES` or a detector index is
-    /// out of range.
-    pub fn gather_quantized(&self, dets: &[u32], out: &mut QuantizedBlock) {
-        let k = dets.len();
-        assert!(
-            k <= MAX_GATHER_NODES,
-            "gather limited to {MAX_GATHER_NODES} nodes, got {k}"
-        );
-        for (i, &di) in dets.iter().enumerate() {
-            let row = &self.quantized[di as usize * self.len..][..self.len];
-            let dst = &mut out.block[i * k..][..k];
-            let mut src = dets.chunks_exact(4);
-            let mut d4 = dst.chunks_exact_mut(4);
-            for (ds, chunk) in (&mut src).zip(&mut d4) {
-                chunk[0] = row[ds[0] as usize];
-                chunk[1] = row[ds[1] as usize];
-                chunk[2] = row[ds[2] as usize];
-                chunk[3] = row[ds[3] as usize];
-            }
-            for (&d, slot) in src.remainder().iter().zip(d4.into_remainder()) {
-                *slot = row[d as usize];
-            }
-        }
-    }
 
     /// Gathers the closed-form operand set for a k ≤ 4 detector list
     /// straight from the quantized table: pair weights in the triangular
@@ -374,6 +297,35 @@ impl GlobalWeightTable {
             for (j, &dj) in dets.iter().enumerate() {
                 if j != i {
                     dst[j] = row[dj as usize].min(clamp);
+                }
+            }
+        }
+    }
+
+    /// The quantized-view sibling of
+    /// [`gather_exact_clamped`](Self::gather_exact_clamped): the k×k
+    /// dequantized pair matrix (`q as f64 / scale`, clamped to `clamp`,
+    /// diagonal zero) and the dequantized boundary vector, swept from the
+    /// compact `u8` rows.
+    pub fn gather_quantized_clamped(
+        &self,
+        dets: &[u32],
+        clamp: f64,
+        weights: &mut Vec<f64>,
+        boundary: &mut Vec<f64>,
+    ) {
+        let k = dets.len();
+        weights.clear();
+        weights.resize(k * k, 0.0);
+        boundary.clear();
+        boundary.resize(k, 0.0);
+        for (i, &di) in dets.iter().enumerate() {
+            let row = &self.quantized[di as usize * self.len..][..self.len];
+            boundary[i] = row[di as usize] as f64 / self.scale;
+            let dst = &mut weights[i * k..][..k];
+            for (j, &dj) in dets.iter().enumerate() {
+                if j != i {
+                    dst[j] = (row[dj as usize] as f64 / self.scale).min(clamp);
                 }
             }
         }
@@ -561,18 +513,22 @@ mod tests {
         ];
         for dets in &lists {
             let k = dets.len();
-            let mut block = QuantizedBlock::new();
-            t.gather_quantized(dets, &mut block);
+            let (mut wq, mut bq) = (Vec::new(), Vec::new());
+            t.gather_quantized_clamped(dets, 2e4, &mut wq, &mut bq);
             let mut w = Vec::new();
             let mut b = Vec::new();
             t.gather_exact_clamped(dets, 2e4, &mut w, &mut b);
             for i in 0..k {
-                assert_eq!(block.at(i, i, k), t.boundary_weight_q(dets[i]));
+                assert_eq!(bq[i], t.dequantize(t.boundary_weight_q(dets[i]) as u16));
                 assert_eq!(b[i].to_bits(), t.boundary_weight(dets[i]).to_bits());
                 assert_eq!(w[i * k + i], 0.0);
+                assert_eq!(wq[i * k + i], 0.0);
                 for j in 0..k {
                     if i != j {
-                        assert_eq!(block.at(i, j, k), t.pair_weight_q(dets[i], dets[j]));
+                        assert_eq!(
+                            wq[i * k + j],
+                            t.dequantize(t.pair_weight_q(dets[i], dets[j]) as u16)
+                        );
                         assert_eq!(
                             w[i * k + j].to_bits(),
                             t.pair_weight(dets[i], dets[j]).min(2e4).to_bits()

@@ -1346,10 +1346,10 @@ impl<'a> LocalWeightProvider<'a> {
         }
     }
 
-    /// Stages the dequantized weight matrix for the quantized decoder —
-    /// the same values `MwpmDecoder::stage_quantized` derives from the
-    /// table (`q as f64 / scale`, pairs clamped), drawn from the staged
-    /// block instead.
+    /// The staged counterpart of
+    /// [`GlobalWeightTable::gather_quantized_clamped`](crate::GlobalWeightTable::gather_quantized_clamped):
+    /// the same dequantized values (`q as f64 / scale`, pairs clamped),
+    /// drawn from the staged block instead.
     pub fn gather_quantized_clamped(
         &self,
         dets: &[u32],

@@ -159,10 +159,10 @@ pub struct PipelineCounters {
     /// (GWT-free backends only; idle on the GWT path). Diagnostic —
     /// excluded from the shot-partition identity.
     pub local_weights: LocalWeightStats,
-    /// Work counters of the opt-in graph-native primal-dual deep-tail
-    /// engine (idle unless `DeepBackend::GraphPd` is selected on a
-    /// GWT-free backend). Diagnostic — excluded from the shot-partition
-    /// identity.
+    /// Work counters of the graph-native primal-dual deep-tail engine,
+    /// the default `DeepBackend::GraphPd` (GWT-free backends only; idle
+    /// on the GWT path or when another deep backend is pinned).
+    /// Diagnostic — excluded from the shot-partition identity.
     pub graphpd: GraphPdStats,
 }
 

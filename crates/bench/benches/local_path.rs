@@ -5,8 +5,10 @@
 //! At d ≤ 13 both backends exist, so the `gwt`/`local` ratio prices what
 //! the table's O(ℓ²) memory actually buys per shot; the `d15` series has
 //! no GWT comparison — at that distance the table would be ~40 MB and the
-//! local path is the only one that runs. Both backends are bit-identical
-//! (enforced by `tests/local_vs_gwt.rs`); this bench only prices them.
+//! local path is the only one that runs. Both backends agree (bit for
+//! bit through the DP band, in matching weight on deep shots, which the
+//! local backend stages with the default graph-pd engine; enforced by
+//! `tests/local_vs_gwt.rs`); this bench only prices them.
 
 use astrea_core::decode_slice;
 use astrea_experiments::{sample_batch, ExperimentContext};

@@ -4,9 +4,10 @@
 //! contexts that never materialize one, and records throughput plus the
 //! per-point peak RSS against the quadratic GWT projection in
 //! `results/BENCH_local.json`. Every (distance, p) point is measured once
-//! per deep-tail backend — `ondemand` (the default staged discovery
-//! engine) and `graph-pd` (the graph-native primal-dual engine) — so the
-//! artifact carries the A/B comparison directly.
+//! per deep-tail backend — `graph-pd` (the default graph-native
+//! primal-dual engine) and `ondemand` (the on-demand staged discovery
+//! engine, bit-identical to the GWT) — so the artifact carries the A/B
+//! comparison directly.
 //!
 //! Usage: `profile_local [--smoke] [--p <prob>] [trials] [output.json]` —
 //! `trials` is the d = 15 trial count (defaults 20 000); larger distances
@@ -21,9 +22,10 @@
 //! engaged (non-zero provider counters through the pipeline), that each
 //! backend's point beat a loose throughput floor so a staging regression
 //! can't land silently, that backend dispatch does not drift (a graph-pd
-//! run leaves the on-demand counters idle and vice versa), and that a
-//! GWT-backed d = 5 differential point agrees bit-for-bit — and skips the
-//! JSON artifact so smoke numbers never overwrite full-size results.
+//! run leaves the on-demand counters idle and vice versa), and that a d = 5
+//! point decoded GWT-free with the on-demand engine pinned agrees with the
+//! GWT-backed one bit-for-bit — and skips the JSON artifact so smoke
+//! numbers never overwrite full-size results.
 
 use astrea_experiments::{
     estimate_ler_streamed_counted, sample_batch, DecoderFactory, ExperimentContext, PipelineConfig,
@@ -238,12 +240,14 @@ fn measure_in_child(distance: usize, p: f64, trials: u64, backend: DeepBackend) 
 
 fn smoke() {
     // Differential gate first: at d = 5 the auto budget keeps the GWT, so
-    // force both weight sources and compare predictions bit-for-bit.
+    // force both weight sources and compare predictions bit-for-bit. The
+    // GWT-free side pins the on-demand engine, the one bit-identical to
+    // the table (the default graph-pd engine is weight-certified instead).
     let gctx = ExperimentContext::with_source(5, 2e-3, WeightSource::Gwt);
     let lctx = ExperimentContext::with_source(5, 2e-3, WeightSource::Local);
     let batch = sample_batch(&gctx, 4_000, THREADS, SEED);
     let mut g = MwpmDecoder::for_context(gctx.decoding());
-    let mut l = MwpmDecoder::for_context(lctx.decoding());
+    let mut l = MwpmDecoder::for_context(lctx.decoding()).with_deep_backend(DeepBackend::Ondemand);
     let mut sg = DecodeScratch::new();
     let mut sl = DecodeScratch::new();
     let rg = astrea_core::decode_slice(&mut g, &mut sg, &batch, 0..batch.len());

@@ -111,10 +111,16 @@ enum Weights<'a> {
 /// The weights can come from two backends: the GWT itself, or — via
 /// [`MwpmDecoder::for_context`] on a GWT-free
 /// [`DecodingContext`] — a [`LocalWeightProvider`] that computes each
-/// shot's pair weights on demand from the sparse matching graph. Both
-/// backends produce bit-identical predictions and matchings (enforced by
-/// the `local_vs_gwt` differential suite); the local one is what makes
-/// d ≥ 15 reachable, since it never materializes the O(ℓ²) table.
+/// shot's pair weights on demand from the sparse matching graph; the
+/// local one is what makes d ≥ 15 reachable, since it never
+/// materializes the O(ℓ²) table. Through the DP band (`k ≤
+/// DP_NODE_LIMIT`) the two backends produce bit-identical predictions
+/// and matchings. Deep shots are staged by the selected [`DeepBackend`]:
+/// the default graph-pd engine is weight-certified — its matching
+/// weighs the staged oracle's optimum, possibly breaking ties
+/// differently — while pinning [`DeepBackend::Ondemand`] keeps the
+/// bit-identity all the way (both enforced by the `local_vs_gwt`
+/// differential suite).
 ///
 /// ```
 /// use blossom_mwpm::MwpmDecoder;
@@ -377,6 +383,35 @@ impl<'a> MwpmDecoder<'a> {
         out.cost(cost);
     }
 
+    /// The deep solvers' view of [`Self::stage_block`]: the boundary
+    /// vector always goes to the arena, the pair block only on the table
+    /// backend. The local backend's pairs are read in place from the
+    /// provider's staged block by [`Self::block_w`], so the deep tail keeps
+    /// no second k×k copy per worker.
+    fn stage_deep_block(&self, dets: &[u32], scratch: &mut DecodeScratch) {
+        match self.weights {
+            Weights::Gwt(_) => self.stage_block(dets, scratch),
+            Weights::Local { .. } => {
+                scratch.boundary.clear();
+                scratch
+                    .boundary
+                    .extend(dets.iter().map(|&d| self.boundary_w(d)));
+            }
+        }
+    }
+
+    /// Pair `(i, j)` of the block [`Self::stage_deep_block`] staged for
+    /// `dets`, clamped to `2 · WEIGHT_CLAMP`: the arena copy on the table
+    /// backend, the provider's staged value on the local one — the value
+    /// the gather would have copied, bit for bit.
+    #[inline]
+    fn block_w(&self, dets: &[u32], arena: &[f64], i: usize, j: usize) -> f64 {
+        match self.weights {
+            Weights::Gwt(_) => arena[i * dets.len() + j],
+            Weights::Local { .. } => self.pair_w(dets[i], dets[j]).min(2.0 * WEIGHT_CLAMP),
+        }
+    }
+
     /// Staged block plus the memoized subset DP for `k ≤ DP_NODE_LIMIT`.
     fn dp<F: MatchFold>(&self, dets: &[u32], scratch: &mut DecodeScratch, out: &mut F) {
         let k = dets.len();
@@ -402,8 +437,8 @@ impl<'a> MwpmDecoder<'a> {
         }
     }
 
-    /// Sparse blossom over the block [`Self::stage_block`] left in the
-    /// arena for `dets`. Staged pairs are clamped to `2 · WEIGHT_CLAMP`,
+    /// Sparse blossom over the block [`Self::stage_deep_block`] staged
+    /// for `dets`. Staged pairs are clamped to `2 · WEIGHT_CLAMP`,
     /// which cannot change `min(direct, via_boundary, WEIGHT_CLAMP)`. The
     /// mate fold reads the unclamped backend: its `direct <=
     /// via_boundary` tie-break must see the raw pair weight, and it only
@@ -417,7 +452,7 @@ impl<'a> MwpmDecoder<'a> {
                 let real = if i >= k { j } else { i };
                 boundary[real].min(WEIGHT_CLAMP)
             } else {
-                let direct = weights[i * k + j];
+                let direct = self.block_w(dets, weights, i, j);
                 let via_boundary = boundary[i] + boundary[j];
                 direct.min(via_boundary).min(WEIGHT_CLAMP)
             }
@@ -449,17 +484,17 @@ impl<'a> MwpmDecoder<'a> {
         out.cost(cost);
     }
 
-    /// Deep syndromes (`k > DP_NODE_LIMIT`): the whole block is gathered
+    /// Deep syndromes (`k > DP_NODE_LIMIT`): the whole block is staged
     /// once and split into independent matching clusters — the connected
     /// components of "pairing `a` and `b` is strictly cheaper than
     /// matching both to the boundary". An optimal matching never pairs
     /// across clusters (a cross-cluster pair costs at least both boundary
     /// weights), so the optimum is the union of per-cluster optima. A
-    /// single cluster goes to the blossom solver over the gathered block;
+    /// single cluster goes to the blossom solver over the staged block;
     /// otherwise each cluster is solved by closed form, DP or blossom,
     /// re-staging its own sub-block (on the local backend the provider's
-    /// staged block survives, so those gathers read it through the slot
-    /// map). No allocation on the steady-state path.
+    /// staged block survives, so those reads go through the slot map).
+    /// No allocation on the steady-state path.
     fn solve_deep<F: MatchFold>(
         &self,
         detectors: &[u32],
@@ -468,13 +503,22 @@ impl<'a> MwpmDecoder<'a> {
         out: &mut F,
     ) {
         let k = detectors.len();
-        self.stage_block(detectors, scratch);
+        self.stage_deep_block(detectors, scratch);
         // The grouped/ends buffers must stay alive across per-cluster
         // solves that themselves stage into the arena, so take them out
         // for the walk and hand them back (capacity preserved) after.
         let mut grouped = std::mem::take(&mut scratch.detectors);
         let mut ends = std::mem::take(&mut scratch.ends);
-        cluster_spans(k, scratch, detectors, &mut grouped, &mut ends);
+        let arena = &scratch.weights;
+        cluster_spans(
+            k,
+            |i, j| self.block_w(detectors, arena, i, j),
+            &scratch.boundary,
+            &mut scratch.parent,
+            detectors,
+            &mut grouped,
+            &mut ends,
+        );
         if ends.len() == 1 {
             // A single cluster keeps the full detector list, in order.
             scratch.graphpd.stats.blossoms += u64::from(graphpd);
@@ -488,7 +532,7 @@ impl<'a> MwpmDecoder<'a> {
                     len if len <= DP_NODE_LIMIT => self.dp(dets, scratch, out),
                     _ => {
                         scratch.graphpd.stats.blossoms += u64::from(graphpd);
-                        self.stage_block(dets, scratch);
+                        self.stage_deep_block(dets, scratch);
                         self.blossom(dets, scratch, out);
                     }
                 }
@@ -500,21 +544,22 @@ impl<'a> MwpmDecoder<'a> {
     }
 }
 
-/// Partitions `detectors` into matching clusters over the block staged
-/// in `scratch` (`weights[i*k+j]` the clamped pair weight, `boundary[i]`
-/// the raw boundary weight): `i` and `j` are linked when
-/// `weights[i*k+j] < boundary[i] + boundary[j]`. Writes the detectors
+/// Partitions `detectors` into matching clusters over a staged block
+/// (`weight(i, j)` the clamped pair weight, `boundary[i]` the raw
+/// boundary weight): `i` and `j` are linked when
+/// `weight(i, j) < boundary[i] + boundary[j]`. Writes the detectors
 /// grouped cluster-by-cluster into `grouped` (clusters ordered by their
 /// first member, members in input order) and each cluster's end offset
-/// into `ends`.
+/// into `ends`; `parent` is union-find scratch.
 fn cluster_spans(
     k: usize,
-    scratch: &mut DecodeScratch,
+    weight: impl Fn(usize, usize) -> f64,
+    boundary: &[f64],
+    parent: &mut Vec<u32>,
     detectors: &[u32],
     grouped: &mut Vec<u32>,
     ends: &mut Vec<u32>,
 ) {
-    let (weights, boundary, parent) = (&scratch.weights, &scratch.boundary, &mut scratch.parent);
     parent.clear();
     parent.extend(0..k as u32);
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -524,11 +569,9 @@ fn cluster_spans(
         }
         x
     }
-    for i in 0..k {
-        let row = &weights[i * k..][..k];
-        let bi = boundary[i];
-        for j in (i + 1)..k {
-            if row[j] < bi + boundary[j] {
+    for (i, &bi) in boundary.iter().enumerate() {
+        for (j, &bj) in boundary.iter().enumerate().skip(i + 1) {
+            if weight(i, j) < bi + bj {
                 let (ri, rj) = (find(parent, i as u32), find(parent, j as u32));
                 if ri != rj {
                     parent[rj as usize] = ri;
@@ -863,11 +906,14 @@ mod tests {
                 } else {
                     MwpmDecoder::for_context(&gctx)
                 };
+                // On-demand staging is the engine bit-identical to the
+                // table; the default graph-pd engine is weight-certified.
                 let mut l = if quantized {
                     MwpmDecoder::for_context_quantized(&lctx)
                 } else {
                     MwpmDecoder::for_context(&lctx)
-                };
+                }
+                .with_deep_backend(DeepBackend::Ondemand);
                 assert!(g.local_stats().is_none());
                 assert!(l.local_stats().is_some());
                 let mut sampler = DemSampler::new(gctx.dem());
@@ -909,7 +955,8 @@ mod tests {
                 MwpmDecoder::for_context_quantized(&lctx)
             } else {
                 MwpmDecoder::for_context(&lctx)
-            };
+            }
+            .with_deep_backend(DeepBackend::Ondemand);
             let mut stg = ond.clone().with_deep_backend(DeepBackend::Staged);
             assert_eq!(ond.deep_backend(), DeepBackend::Ondemand);
             assert_eq!(stg.deep_backend(), DeepBackend::Staged);
@@ -973,7 +1020,8 @@ mod tests {
                 MwpmDecoder::for_context_quantized(&lctx)
             } else {
                 MwpmDecoder::for_context(&lctx)
-            };
+            }
+            .with_deep_backend(DeepBackend::Ondemand);
             let mut gpd = ond.clone().with_deep_backend(DeepBackend::GraphPd);
             assert_eq!(gpd.deep_backend(), DeepBackend::GraphPd);
             let mut sampler = DemSampler::new(lctx.dem());

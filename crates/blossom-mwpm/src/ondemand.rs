@@ -1,5 +1,5 @@
-//! Deep-tail backend selection: on-demand sparse staging vs. the full
-//! staged sweep.
+//! Deep-tail backend selection: graph-native primal-dual discovery (the
+//! default), on-demand sparse staging, and the full staged sweep.
 //!
 //! On the GWT-free backend every deep shot (`k > DP_NODE_LIMIT`) must
 //! produce its pair-weight block before any matching runs. PR 8's staged
@@ -22,24 +22,25 @@
 //! provably behind boundary matching in both weight domains (see the
 //! [`decoding_graph::ondemand`] module docs for the full argument).
 //!
+//! [`DeepBackend::GraphPd`] goes one step further down the Sparse
+//! Blossom road — all regions grow simultaneously and pairs resolve by
+//! meet-in-the-middle
+//! ([`LocalWeightProvider::stage_graph_pd`](decoding_graph::LocalWeightProvider::stage_graph_pd)),
+//! halving every collision radius — and is the default wherever a local
+//! provider is active. It gives up bit-identity with the other engines:
+//! its contract is a per-shot weight certificate (the matching's total
+//! weight equals the staged oracle's optimum in both weight domains)
+//! plus a statistical LER gate (`tests/graphpd_vs_ondemand.rs`).
+//!
 //! [`DeepBackend`] selects between the engines, for every entry point
 //! of the decoder alike: `decode`, `decode_with_scratch`,
 //! [`MwpmDecoder::decode_full`](crate::MwpmDecoder::decode_full) and the
 //! tile pipeline all stage a deep shot with the selected engine, so the
-//! `ondemand_vs_staged` suite compares two real engines, never one
-//! engine with itself. [`DeepBackend::Ondemand`]
-//! is the default wherever a local provider is active;
-//! [`DeepBackend::Staged`] keeps PR 8's full sweep available as the
-//! differential oracle (the `ondemand_vs_staged` CI suite proves the two
-//! produce bit-identical predictions, matchings, and LER results) and as
-//! a fallback. [`DeepBackend::GraphPd`] goes one step further down the
-//! Sparse Blossom road — all regions grow simultaneously and pairs
-//! resolve by meet-in-the-middle
-//! ([`LocalWeightProvider::stage_graph_pd`](decoding_graph::LocalWeightProvider::stage_graph_pd)),
-//! halving every collision radius — at the price of the bit-identity
-//! contract: it is explicitly opt-in and validated by per-shot weight
-//! certificates plus a statistical LER gate instead
-//! (`tests/graphpd_vs_ondemand.rs`).
+//! differential suites compare two real engines, never one engine with
+//! itself. [`DeepBackend::Ondemand`] stays available for bit-identity
+//! with the GWT path (the `ondemand_vs_staged` and `local_vs_gwt` suites
+//! pin it), and [`DeepBackend::Staged`] keeps PR 8's full sweep as the
+//! differential oracle.
 
 /// Which staging engine the deep tail (`k > DP_NODE_LIMIT`) uses on the
 /// GWT-free backend. Irrelevant (unread) when the decoder is backed by
@@ -47,23 +48,23 @@
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DeepBackend {
     /// On-demand sparse staging: upper-triangle targets, per-pair
-    /// deadline certificates, dynamic shrinking search radius. The
-    /// default — this is what makes d ≥ 21 fast, not just feasible.
-    #[default]
+    /// deadline certificates, dynamic shrinking search radius.
+    /// Bit-identical to the staged oracle and hence to the GWT path;
+    /// pinned wherever a check needs that identity.
     Ondemand,
     /// The full per-row staged sweep (PR 8). Retained as the
     /// differential oracle and fallback.
     Staged,
     /// Graph-native primal-dual discovery: every fired detector grows a
-    /// region through one synchronized heap and pair weights come from
-    /// meet-in-the-middle, so a collision at distance D costs two
-    /// radius-D/2 balls instead of one radius-D ball. **Opt-in and not
+    /// capped region and pair weights come from meet-in-the-middle, so a collision at distance D costs two
+    /// radius-D/2 balls instead of one radius-D ball. The default: it
+    /// won every measured GWT-free point against on-demand staging. **Not
     /// bit-identical** to the other backends — meet weights associate
     /// the f64 sum differently and equal-weight chains may tie-break to
     /// a different matching — but per-shot total matching weight equals
     /// the staged-oracle optimum in both weight domains (enforced by the
-    /// `graphpd_vs_ondemand` certificate suite) and LER is statistically
-    /// indistinguishable. Wins where the deep tail dominates: d ≥ 21 at
-    /// circuit-level p ≈ 10⁻³.
+    /// `graphpd_vs_ondemand` certificate suite, d = 15 included) and LER
+    /// is statistically indistinguishable.
+    #[default]
     GraphPd,
 }

@@ -1,7 +1,9 @@
 //! The sparse matching graph derived from a detector error model.
 
+use crate::local::GraphIndex;
 use qec_circuit::{Circuit, DetectorCoord, DetectorErrorModel, ErrorMechanism};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Merged-edge accumulator keyed by detector pair (`u32::MAX` = boundary):
 /// total probability plus per-observable-mask probability votes.
@@ -80,6 +82,9 @@ pub struct MatchingGraph {
     coords: Vec<DetectorCoord>,
     /// Mechanisms whose symptom sets required decomposition into edges.
     decomposed_mechanisms: usize,
+    /// The GWT-free search index, built on first use and shared by every
+    /// local weight provider over this graph (see [`GraphIndex`]).
+    local_index: OnceLock<GraphIndex>,
 }
 
 impl MatchingGraph {
@@ -196,7 +201,22 @@ impl MatchingGraph {
             adjacency,
             coords,
             decomposed_mechanisms: decomposed,
+            local_index: OnceLock::new(),
         }
+    }
+
+    /// The syndrome-independent search index the GWT-free weight
+    /// providers read, built on the first call and shared afterwards, so
+    /// graph construction never pays for it and every provider over this
+    /// graph borrows one copy.
+    pub(crate) fn local_index(&self) -> &GraphIndex {
+        self.local_index.get_or_init(|| GraphIndex::build(self))
+    }
+
+    /// Whether [`Self::local_index`] has been built yet.
+    #[cfg(test)]
+    pub(crate) fn local_index_built(&self) -> bool {
+        self.local_index.get().is_some()
     }
 
     /// Number of detector nodes.

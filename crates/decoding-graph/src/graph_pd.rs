@@ -15,20 +15,23 @@
 //! Sparse Blossom move (Higgott & Gidney, arXiv:2303.15933) applied to
 //! pair discovery: *both* endpoints of a pair grow toward each other, so
 //! each pays a fraction of the distance — and in the 3-D space-time
-//! lattice a fractional radius costs a cubed fraction of the volume. The
-//! stage runs five passes over packed per-shot state:
+//! lattice a fractional radius costs a cubed fraction of the volume. It is
+//! the default deep-tail engine ([`DeepBackend::GraphPd`]). The stage
+//! runs five passes over packed per-shot state:
 //!
-//! 1. **Envelope.** A k×k distance envelope `lb(i,j) ≤ d(i,j) ≤ ub(i,j)`
-//!    from one pass over the ALT landmark arrays (`lb` from the best
-//!    difference, `ub` from the best sum — the same arrays the on-demand
-//!    exclusion reads, so it is free), with `ub` sharpened by a metric
-//!    closure through the fired detectors themselves (sound because every
-//!    `ub(i,m) + ub(m,j)` overestimates a real path).
-//! 2. **Census.** Pairs whose coordinate or landmark `lb` clears the
-//!    dominance bound `bound(i,j) = max(bᵢ + bⱼ, (qbᵢ + qbⱼ + 1)/scale)`
-//!    are excluded outright; each survivor records its joint growth
-//!    requirement `need(i,j) = min(bound, ub) + w_max`, where `w_max` is
-//!    the largest internal edge weight.
+//! 1. **Envelope.** A k×k distance upper bound `ub(i,j) ≥ d(i,j)` from
+//!    the best sum over the ALT landmark rows of the graph's shared
+//!    index, sharpened by a metric closure through the fired detectors
+//!    themselves (sound because every `ub(i,m) + ub(m,j)` overestimates a
+//!    real path). It is held in the provider's own k×k pair block, which
+//!    has nothing to hold until resolution overwrites it.
+//! 2. **Census.** Pairs whose coordinate or landmark lower bound (the best
+//!    difference over the same rows, recomputed per pair rather than
+//!    stored) clears the dominance bound
+//!    `bound(i,j) = max(bᵢ + bⱼ, (qbᵢ + qbⱼ + 1)/scale)` are excluded
+//!    outright; each survivor records its joint growth requirement
+//!    `need(i,j) = min(bound, ub) + w_max`, where `w_max` is the largest
+//!    internal edge weight.
 //! 3. **Share passes.** The joint requirement is split between the two
 //!    endpoint regions. Any split works — whenever the two radius caps
 //!    sum to `need`, the first shortest-chain node inside the walked cap
@@ -36,25 +39,30 @@
 //!    split is a pure cost knob, and a few fixed-point rounds of
 //!    proportional sharing let regions that already grow far for one
 //!    pair absorb their other pairs' shares for free. The last round
-//!    assigns roles: the larger share becomes the *dense* (painted)
-//!    side, the smaller the *walked* side, skewed further toward dense
-//!    because region caps are shared across a region's pairs while the
-//!    walk is paid per pair.
+//!    assigns roles: the side with the larger previous-round cap
+//!    becomes the *dense* (probed) side, the other the *walked* side,
+//!    with the split skewed further toward dense because region caps are
+//!    shared across a region's pairs while the walk is paid per pair.
+//!    Roles therefore follow one total order over regions.
 //! 4. **Growth.** One capped Dijkstra per region over the provider's
-//!    stamped `NodeState` arrays, logging each ball as a contiguous
-//!    `(dist, node, parity)` run. Frontier pushes beyond the cap are
-//!    skipped — with positive weights nothing outside the cap re-enters
-//!    it, so capped balls stay prefix-exact (the on-demand radius
-//!    argument). The frontier is a Dial bucket queue with granularity
-//!    strictly below the smallest edge weight: draining a bucket can
-//!    never push back into it, so settle order is exact Dijkstra order
-//!    at O(1) per queue operation instead of a binary-heap log.
-//! 5. **Meet sweep.** Pairs arrive grouped by dense endpoint; each
-//!    group paints its ball into an O(ℓ) epoch-stamped image once, then
-//!    every pair walks its partner ball's bucket-ordered prefix (up to
-//!    its own cutoff, with one granule of slack for within-bucket
-//!    disorder) and probes the image for co-settled nodes, keeping the
-//!    minimum witness `μ = d_dense(x) + d_walk(x)`.
+//!    stamped `NodeState` arrays, in that total order (ascending cap), so
+//!    every pair's walked side grows before its dense side. A region
+//!    logs only the prefix of its ball that some pair walks, as a
+//!    contiguous `(dist, node, parity)` run; a region no pair walks logs
+//!    nothing. Frontier pushes beyond the cap are skipped — with positive
+//!    weights nothing outside the cap re-enters it, so capped balls stay
+//!    prefix-exact (the on-demand radius argument). The frontier is a
+//!    Dial bucket queue with granularity strictly below the smallest
+//!    edge weight: draining a bucket can never push back into it, so
+//!    settle order is exact Dijkstra order at O(1) per queue operation
+//!    instead of a binary-heap log.
+//! 5. **Meet sweep.** Right after a region grows, its pairs as dense
+//!    side are swept: the ball is still the live stamp in the node
+//!    arrays (settled exactly where the distance is within the cap), so
+//!    each pair walks its partner's logged prefix (up to its own cutoff,
+//!    with one granule of slack for within-bucket disorder) and probes
+//!    the node arrays directly for co-settled nodes, keeping the minimum
+//!    witness `μ = d_dense(x) + d_walk(x)`. No dense image is painted.
 //!
 //! **Why the witnesses are exact.** For a pair with true distance
 //! `D ≤ min(bound, ub)` and caps `c_dense + c_walk ≥ D + w_max`, take
@@ -73,15 +81,17 @@
 //! rather than one source-rooted chain, so the f64 rounds differently in
 //! the last ulp, and an equal-weight meet may surface a different
 //! shortest chain (different observable parity) than the one-sided
-//! relaxation order picks. [`DeepBackend::GraphPd`] is therefore an
-//! explicitly opt-in backend, validated by per-shot optimality
-//! certificates (equal total matching weight under the oracle's weights)
-//! and a statistical LER gate rather than matching-for-matching equality
-//! — see `tests/graphpd_vs_ondemand.rs`.
+//! relaxation order picks. [`DeepBackend::GraphPd`] is therefore
+//! validated by per-shot optimality certificates (equal total matching
+//! weight under the oracle's weights, d = 15 included) and a statistical
+//! LER gate rather than matching-for-matching equality — see
+//! `tests/graphpd_vs_ondemand.rs`.
 //!
 //! All per-shot bookkeeping lives in a [`GraphPdScratch`] owned by the
 //! worker's `DecodeScratch`: buffers grow once and are reused, so
-//! steady-state discovery performs no allocation.
+//! steady-state discovery performs no allocation. The arena holds no k×k
+//! matrix, and the syndrome-independent search index is the graph's,
+//! shared by every worker.
 //!
 //! [`DeepBackend::GraphPd`]: https://docs.rs/blossom-mwpm
 
@@ -167,30 +177,24 @@ impl GraphPdStats {
     }
 }
 
-/// One tracked (non-excluded) pair of the current shot.
+/// One tracked (non-excluded) pair of the current shot, in 16 bytes.
+/// Its other numbers are not stored here: the dominance bound is
+/// recomputed from the boundary table, and the growth requirement, the
+/// sweep cutoff and the witness parity live in the pair's cells of the
+/// provider's k×k blocks until resolution overwrites them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PairRec {
     /// Best co-settlement witness so far (`INFINITY` until the balls
     /// touch); exactly `d(i, j)` once the sweep completes, for every
     /// pair within its bound.
     pub(crate) mu: f64,
-    /// Dominance bound `max(bᵢ + bⱼ, (qbᵢ + qbⱼ + 1)/scale)`.
-    pub(crate) bound: f64,
-    /// Walked-side share of the pair's joint growth requirement
-    /// (inflated): the sweep walks only the partner ball's prefix up to
-    /// it, because the split-edge witness is guaranteed to sit within
-    /// this distance of the walked endpoint. During the share passes the
-    /// field temporarily holds the whole requirement
-    /// `min(bound, ub) + w_max`.
-    pub(crate) cut: f64,
-    /// Observable parity of the chain behind `mu`.
-    pub(crate) parity: u32,
-    /// Endpoint slots (`i < j`).
+    /// Endpoint slots: `i < j` from the census, then the dense side `i`
+    /// and the walked side `j` once the share passes assign roles.
     pub(crate) i: u32,
     pub(crate) j: u32,
 }
 
-/// One settled node of a region's ball log: distance, node, and chain
+/// One logged node of a walked region's ball: distance, node, and chain
 /// parity in 16 bytes, so growth writes and sweep walks touch a single
 /// stream.
 #[derive(Debug, Clone, Copy)]
@@ -203,17 +207,84 @@ pub(crate) struct BallEntry {
     pub(crate) par: u32,
 }
 
-/// One node of the sweep's dense ball image: settled distance, validity
-/// stamp, and chain parity packed into 16 bytes so a probe costs one
-/// cache line instead of three.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DenseEntry {
-    /// Settled distance from the imaged region's source.
-    pub(crate) dist: f64,
-    /// Image epoch this entry belongs to (stale entries are ignored).
-    pub(crate) stamp: u32,
-    /// Chain parity behind `dist`.
-    pub(crate) par: u32,
+/// Entries per ball-log segment (1 MiB), unless the graph needs more to
+/// hold one region's whole prefix. One segment holds the largest log of
+/// a d = 15, p = 5×10⁻³ shot (about 11 k entries) several times over.
+const BALL_SEGMENT: usize = 1 << 16;
+
+/// The ball log: each walked region's logged prefix, in growth order,
+/// contiguous per region. It lives in fixed-capacity segments that are
+/// allocated once and filled in place, never reallocated: no doubling
+/// chain of copies and freed intermediate blocks, and only the pages the
+/// entries are written to become resident. A segment is large enough
+/// that the allocator maps it on its own rather than carving it from a
+/// worker's heap, so dropping an arena returns it whole (EXPERIMENTS.md
+/// records the peak-RSS effect of smaller segments). A segment holds
+/// more entries than the graph has nodes, so when one fills mid-region
+/// the region's partial prefix moves to the next segment whole.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BallLog {
+    segs: Vec<Vec<BallEntry>>,
+    /// Segment being appended to.
+    cur: usize,
+    /// Where the region being logged starts in `segs[cur]`.
+    start: usize,
+    /// Capacity of a new segment.
+    seg_cap: usize,
+}
+
+impl BallLog {
+    /// Empties the log (keeping its segments) for a graph of `nodes`
+    /// detectors.
+    pub(crate) fn reset(&mut self, nodes: usize) {
+        for seg in &mut self.segs {
+            seg.clear();
+        }
+        self.cur = 0;
+        self.start = 0;
+        self.seg_cap = BALL_SEGMENT.max(nodes + 1);
+    }
+
+    /// Starts logging a new region.
+    pub(crate) fn begin(&mut self) {
+        self.start = self.segs.get(self.cur).map_or(0, Vec::len);
+    }
+
+    /// Appends one entry to the region being logged.
+    #[inline]
+    pub(crate) fn push(&mut self, entry: BallEntry) {
+        if self.segs.is_empty() {
+            self.segs.push(Vec::with_capacity(self.seg_cap));
+        }
+        if self.segs[self.cur].len() == self.segs[self.cur].capacity() {
+            self.cur += 1;
+            if self.cur == self.segs.len() {
+                self.segs.push(Vec::with_capacity(self.seg_cap));
+            }
+            let (done, next) = self.segs.split_at_mut(self.cur);
+            let full = &mut done[self.cur - 1];
+            next[0].extend_from_slice(&full[self.start..]);
+            full.truncate(self.start);
+            self.start = 0;
+        }
+        self.segs[self.cur].push(entry);
+    }
+
+    /// Ends the region being logged; its prefix is [`Self::span`] of the
+    /// returned handle.
+    pub(crate) fn end(&self) -> [u32; 3] {
+        let len = self.segs.get(self.cur).map_or(0, Vec::len);
+        [self.cur as u32, self.start as u32, len as u32]
+    }
+
+    /// A logged region's prefix.
+    #[inline]
+    pub(crate) fn span(&self, [seg, start, end]: [u32; 3]) -> &[BallEntry] {
+        match self.segs.get(seg as usize) {
+            Some(s) => &s[start as usize..end as usize],
+            None => &[],
+        }
+    }
 }
 
 /// Per-region growth state.
@@ -226,40 +297,51 @@ pub(crate) struct RegionRec {
     /// with positive weights any path into the capped ball stays inside
     /// it.
     pub(crate) cap: f64,
+    /// Farthest distance any pair walks this ball to (its largest cut
+    /// plus one granule); `NEG_INFINITY` when no pair walks it. The
+    /// ball log keeps the growth-order prefix up to it.
+    pub(crate) walk: f64,
     /// Tracked pairs charged to this region; zero-pair regions are
     /// never grown.
     pub(crate) pairs: u32,
+    /// Handle of the region's logged prefix in the [`BallLog`].
+    pub(crate) log: [u32; 3],
+    /// The pairs whose dense side this region is: `pairs[dense[0]..dense[1]]`.
+    pub(crate) dense: [u32; 2],
+}
+
+impl RegionRec {
+    /// A region no pair has touched yet.
+    pub(crate) const EMPTY: RegionRec = RegionRec {
+        cap: 0.0,
+        walk: f64::NEG_INFINITY,
+        pairs: 0,
+        log: [0, 0, 0],
+        dense: [0, 0],
+    };
 }
 
 /// Per-worker bookkeeping arena for
 /// [`stage_graph_pd`](crate::LocalWeightProvider::stage_graph_pd): the
-/// pair/region tables, the region-major ball log, the dense sweep image,
-/// and the Dial queue. Owned by `DecodeScratch` so the buffers persist across
-/// shots — grown once, reused forever, zero steady-state allocation.
+/// pair/region tables, the growth order, the walked-prefix ball log, and
+/// the Dial queue. Owned by `DecodeScratch` so the buffers persist
+/// across shots — grown once, reused forever, zero steady-state
+/// allocation. The k×k distance envelope is not here: it lives in the
+/// provider's own pair-weight block until resolution overwrites it.
 #[derive(Debug, Clone, Default)]
 pub struct GraphPdScratch {
-    /// Tracked pairs of the current shot, grouped by first endpoint
-    /// (census order) so the sweep paints each region's image once.
+    /// Tracked pairs of the current shot, grouped by dense endpoint once
+    /// roles are assigned.
     pub(crate) pairs: Vec<PairRec>,
     /// Per-region growth state.
     pub(crate) regions: Vec<RegionRec>,
-    /// Ball log, region-major: nodes settled by each region in growth
-    /// order (contiguous per region, bucket-ordered — distances are
+    /// Regions with tracked pairs, in growth order: every pair's walked
+    /// side before its dense side.
+    pub(crate) order: Vec<u32>,
+    /// Ball log: the walked prefix of each region, in growth order
+    /// (contiguous per region, bucket-ordered — distances are
     /// nondecreasing up to one Dial granule of within-bucket disorder).
-    pub(crate) ball: Vec<BallEntry>,
-    /// Region r's ball occupies `ball_*[ball_head[r]..ball_head[r+1]]`.
-    pub(crate) ball_head: Vec<u32>,
-    /// k×k landmark lower bounds for the census (deflated, symmetric).
-    pub(crate) lb: Vec<f64>,
-    /// k×k distance upper bounds: landmark bounds sharpened by a
-    /// metric-closure pass through the fired detectors themselves.
-    pub(crate) ub: Vec<f64>,
-    /// Dense ball image of the sweep's current region, O(ℓ) and
-    /// L2-resident; an entry is valid where its stamp matches the
-    /// current epoch (epoch-tagged so repainting is O(ball), not O(ℓ)).
-    pub(crate) dense: Vec<DenseEntry>,
-    /// Current image epoch.
-    pub(crate) dense_epoch: u32,
+    pub(crate) ball: BallLog,
     /// Dial (bucket) queue for the capped growths: bucket `b` holds
     /// frontier keys with distance in `[b·gran, (b+1)·gran)` where
     /// `gran` is strictly below the smallest edge weight, so draining a
@@ -267,7 +349,8 @@ pub struct GraphPdScratch {
     /// Dijkstra order at O(1) per operation.
     pub(crate) dial: Vec<Vec<u128>>,
     /// Row buffer for the metric-closure pass (the pivot row is copied
-    /// out so the relaxation can scan it while rewriting other rows).
+    /// out so the relaxation can scan it while rewriting other rows),
+    /// then the share passes' previous-round caps.
     pub(crate) closure_row: Vec<f64>,
     /// Work counters accumulated by this worker since construction (the
     /// pipeline harvests deltas per tile).
@@ -285,13 +368,58 @@ impl GraphPdScratch {
     pub fn clear(&mut self) {
         self.pairs.clear();
         self.regions.clear();
-        self.ball.clear();
-        self.ball_head.clear();
-        self.lb.clear();
-        self.ub.clear();
-        self.dense.clear();
-        self.dense_epoch = 0;
+        self.order.clear();
+        self.ball.reset(0);
         self.dial.clear();
         self.closure_row.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(i: usize) -> BallEntry {
+        BallEntry {
+            dist: i as f64,
+            node: i as u32,
+            par: (i % 2) as u32,
+        }
+    }
+
+    #[test]
+    fn ball_log_keeps_each_prefix_contiguous_across_segments() {
+        // Region A nearly fills the first segment; region B overflows it
+        // and must move to the second segment whole; region C logs
+        // nothing. No segment ever grows past its capacity.
+        let mut log = BallLog::default();
+        log.reset(16);
+        let mut spans = Vec::new();
+        for len in [BALL_SEGMENT - 5, 12, 0, 3] {
+            log.begin();
+            for i in 0..len {
+                log.push(entry(i));
+            }
+            spans.push((len, log.end()));
+        }
+        for (len, span) in &spans {
+            let got = log.span(*span);
+            assert_eq!(got.len(), *len);
+            for (i, e) in got.iter().enumerate() {
+                assert_eq!(
+                    (e.dist, e.node, e.par),
+                    (i as f64, i as u32, (i % 2) as u32)
+                );
+            }
+        }
+        assert_eq!(
+            spans[1].1[0], 1,
+            "the overflowing prefix moved to segment 1"
+        );
+        assert!(log.segs.iter().all(|s| s.capacity() == BALL_SEGMENT));
+        // Reset keeps the segments (and their capacity) for the next shot.
+        log.reset(16);
+        assert!(log.segs.iter().all(Vec::is_empty));
+        assert_eq!(log.segs.len(), 2);
     }
 }

@@ -21,7 +21,7 @@
 //! differential suite at d ∈ {3, 5, 7}.
 
 use crate::graph::MatchingGraph;
-use crate::graph_pd::{BallEntry, DenseEntry, GraphPdScratch, PairRec, RegionRec};
+use crate::graph_pd::{BallEntry, GraphPdScratch, PairRec, RegionRec};
 use crate::gwt::{quantize, OrdF64, DEFAULT_WEIGHT_SCALE};
 use crate::ondemand::OndemandScratch;
 use std::cmp::Reverse;
@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 /// Number of ALT landmarks a [`LocalWeightProvider`] precomputes
 /// (farthest-point sampled; clamped to the detector count on tiny
 /// graphs). 16 keeps the per-pair filter at a few dozen subtractions and
-/// the table under 2 MB even at d = 31 — still `O(ℓ)` per worker.
+/// the table under 2 MB even at d = 31 — `O(ℓ)`, built once per graph.
 const NUM_LANDMARKS: usize = 16;
 
 /// Largest detector count for which graph-pd staging sharpens its
@@ -264,19 +264,15 @@ impl LocalWeightStats {
     }
 }
 
-/// On-demand staged pair weights over the sparse matching graph — the
-/// GWT-free backend decoders use under [`WeightSource::Local`].
-///
-/// [`stage`](Self::stage) runs one truncated Dijkstra per fired detector
-/// and records, for every pair of the shot, either the exact
-/// shortest-path weight (bit-identical to the Global Weight Table entry)
-/// or `INFINITY` when the pair is provably dominated. All scratch is
-/// stamped and reused: zero steady-state allocations once warm. One
-/// provider lives inside each per-worker decoder.
+/// The syndrome-independent part of GWT-free staging: the coordinate
+/// lower-bound slopes, the ALT landmark rows, the packed CSR adjacency
+/// and the edge-weight extremes. It depends on the graph alone, so the
+/// [`MatchingGraph`] owns one, built on first use, and every
+/// [`LocalWeightProvider`] over that graph borrows it: a pool of decoders
+/// pays for the landmark Dijkstras and the adjacency copy once, not once
+/// per decoder, and building a context pays nothing.
 #[derive(Debug, Clone)]
-pub struct LocalWeightProvider<'a> {
-    graph: &'a MatchingGraph,
-    boundary: &'a BoundaryTable,
+pub(crate) struct GraphIndex {
     /// Minimum edge weight per unit of Chebyshev lattice displacement
     /// (deflated by 1 − 1e-9 to stay a valid bound under f64 rounding);
     /// zero disables the spatial lower bound.
@@ -284,19 +280,15 @@ pub struct LocalWeightProvider<'a> {
     /// Minimum edge weight per unit of round displacement, deflated
     /// likewise; zero disables the temporal lower bound.
     time_cost: f64,
-    /// ALT landmark distances, node-major: `land[v * num_land + l]` is
-    /// the exact internal-graph Dijkstra distance from landmark `l` to
-    /// detector `v`. By the triangle inequality
-    /// `d(i, j) ≥ |d(l, i) − d(l, j)|` for every landmark, which (after
-    /// the same 1e-9 deflation the coordinate bound uses) lower-bounds
-    /// any pair distance in O(L) — no graph search. Syndrome-independent
-    /// `O(L·ℓ)` memory, so the GWT-free footprint story is unchanged.
-    land: Vec<f64>,
-    num_land: usize,
-    // Stamped Dijkstra state over the whole graph (O(ℓ), reused).
-    node: Vec<NodeState>,
-    epoch: u32,
-    heap: BinaryHeap<Reverse<u128>>,
+    /// ALT landmark distances, node-major: `land[v][l]` is the exact
+    /// internal-graph Dijkstra distance from landmark `l` to detector
+    /// `v`. By the triangle inequality `d(i, j) ≥ |d(l, i) − d(l, j)|`
+    /// for every landmark, which (after the same 1e-9 deflation the
+    /// coordinate bound uses) lower-bounds any pair distance in O(L) — no
+    /// graph search. Syndrome-independent `O(L·ℓ)` memory, so the
+    /// GWT-free footprint story is unchanged. Graphs with fewer detectors
+    /// than landmarks pad the rows with `NaN`, which both bounds discard.
+    land: Vec<[f64; NUM_LANDMARKS]>,
     // CSR adjacency over internal edges, `incident_edges` order.
     adj_head: Vec<u32>,
     adj: Vec<AdjEntry>,
@@ -309,35 +301,13 @@ pub struct LocalWeightProvider<'a> {
     /// bucket even under floating-point rounding — the invariant that
     /// makes bucket-order settling exact Dijkstra order.
     w_gran: f64,
-    // The staged k×k block for the current detector list.
-    dets: Vec<u32>,
-    slot: Vec<u32>,
-    slot_stamp: Vec<u32>,
-    slot_epoch: u32,
-    weights: Vec<f64>,
-    obs: Vec<u32>,
-    /// Per-target settle bound of the current expansion (NaN = excluded).
-    bound: Vec<f64>,
-    staged: bool,
-    /// Which engine produced the staged block (see [`StageFlavor`]).
-    flavor: StageFlavor,
-    stats: LocalWeightStats,
 }
 
-impl<'a> LocalWeightProvider<'a> {
-    /// Creates a provider over a matching graph and its boundary table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the boundary table was built for a different number of
-    /// detectors.
-    pub fn new(graph: &'a MatchingGraph, boundary: &'a BoundaryTable) -> LocalWeightProvider<'a> {
+impl GraphIndex {
+    /// Computes the index of a graph: one pass over the edges for the
+    /// slopes and the adjacency, one Dijkstra per landmark.
+    pub(crate) fn build(graph: &MatchingGraph) -> GraphIndex {
         let n = graph.num_detectors();
-        assert_eq!(
-            boundary.len(),
-            n,
-            "boundary table size does not match the graph"
-        );
         // Lower-bound slopes: every internal edge moving r lattice units
         // (Chebyshev) costs at least `space_cost·r`, every edge moving t
         // rounds at least `time_cost·t`; coordinate deltas telescope
@@ -366,14 +336,14 @@ impl<'a> LocalWeightProvider<'a> {
             }
         };
         // ALT landmarks: exact Dijkstra distances from a handful of
-        // farthest-point-sampled detectors, chosen once per graph. The
-        // coordinate slopes above are weak exactly where the on-demand
-        // engine hurts most — bulk pairs whose cheapest chains run along
-        // diagonal mechanisms — while `|d(l,i) − d(l,j)|` is near-tight
-        // whenever some landmark lies roughly behind one endpoint, so
-        // together they certify most far pairs without growing a region.
+        // farthest-point-sampled detectors. The coordinate slopes above
+        // are weak exactly where the on-demand engine hurts most — bulk
+        // pairs whose cheapest chains run along diagonal mechanisms —
+        // while `|d(l,i) − d(l,j)|` is near-tight whenever some landmark
+        // lies roughly behind one endpoint, so together they certify
+        // most far pairs without growing a region.
         let num_land = n.min(NUM_LANDMARKS);
-        let mut land = vec![f64::INFINITY; n * num_land];
+        let mut land = vec![[f64::NAN; NUM_LANDMARKS]; n];
         if num_land > 0 {
             let mut dist = vec![f64::INFINITY; n];
             let mut mindist = vec![f64::INFINITY; n];
@@ -404,8 +374,8 @@ impl<'a> LocalWeightProvider<'a> {
                 // sort first so each gets its own landmark. Ties break to
                 // the lowest index for determinism.
                 let mut best = (f64::NEG_INFINITY, 0u32);
-                for v in 0..n {
-                    land[v * num_land + l] = dist[v];
+                for (v, row) in land.iter_mut().enumerate() {
+                    row[l] = dist[v];
                     let m = mindist[v].min(dist[v]);
                     mindist[v] = m;
                     if m > best.0 {
@@ -430,13 +400,114 @@ impl<'a> LocalWeightProvider<'a> {
             }
             adj_head.push(adj.len() as u32);
         }
-        LocalWeightProvider {
-            graph,
-            boundary,
+        GraphIndex {
             space_cost: deflate(space),
             time_cost: deflate(time),
             land,
-            num_land,
+            adj_head,
+            w_max: adj.iter().map(|e| e.weight).fold(0.0, f64::max),
+            w_gran: adj.iter().map(|e| e.weight).fold(f64::INFINITY, f64::min) * (1.0 - 1e-6),
+            adj,
+        }
+    }
+
+    /// Adjacency entries of node `u`.
+    #[inline]
+    fn adj(&self, u: u32) -> &[AdjEntry] {
+        &self.adj[self.adj_head[u as usize] as usize..self.adj_head[u as usize + 1] as usize]
+    }
+
+    /// ALT landmark lower bound on the shortest-path weight: the triangle
+    /// inequality gives `d(a, b) ≥ |d(l, a) − d(l, b)|` for every
+    /// landmark `l`, deflated by the usual 1e-9 so the bound stays valid
+    /// under f64 rounding of the landmark distances. A landmark that
+    /// reaches exactly one endpoint proves the pair disconnected (the
+    /// bound is `INFINITY`); one that reaches neither contributes nothing
+    /// (the `NaN` difference is discarded by `max`). The maximum is taken
+    /// in four interleaved lanes: the same set of terms, so the same
+    /// value, at a quarter of the dependency chain.
+    #[inline]
+    fn landmark_bound(&self, a: u32, b: u32) -> f64 {
+        let (da, db) = (&self.land[a as usize], &self.land[b as usize]);
+        let mut lanes = [0.0f64; 4];
+        for l in 0..NUM_LANDMARKS {
+            lanes[l % 4] = lanes[l % 4].max((da[l] - db[l]).abs());
+        }
+        let lb = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+        lb * (1.0 - 1e-9) - 1e-9
+    }
+
+    /// ALT landmark upper bound on the shortest-path weight: the
+    /// triangle inequality gives `d(a, b) ≤ d(l, a) + d(l, b)` for every
+    /// landmark `l`. The raw f64 sum (callers inflate before trusting it
+    /// as a radius); a landmark reaching neither endpoint contributes
+    /// `INFINITY`, which `min` discards.
+    #[inline]
+    fn landmark_upper(&self, a: u32, b: u32) -> f64 {
+        let (da, db) = (&self.land[a as usize], &self.land[b as usize]);
+        let mut lanes = [f64::INFINITY; 4];
+        for l in 0..NUM_LANDMARKS {
+            lanes[l % 4] = lanes[l % 4].min(da[l] + db[l]);
+        }
+        lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]))
+    }
+}
+
+/// On-demand staged pair weights over the sparse matching graph — the
+/// GWT-free backend decoders use under [`WeightSource::Local`].
+///
+/// [`stage`](Self::stage) runs one truncated Dijkstra per fired detector
+/// and records, for every pair of the shot, either the exact
+/// shortest-path weight (bit-identical to the Global Weight Table entry)
+/// or `INFINITY` when the pair is provably dominated. All scratch is
+/// stamped and reused: zero steady-state allocations once warm. One
+/// provider lives inside each per-worker decoder; the graph's search
+/// index is shared by all of them.
+#[derive(Debug, Clone)]
+pub struct LocalWeightProvider<'a> {
+    graph: &'a MatchingGraph,
+    boundary: &'a BoundaryTable,
+    /// The graph's shared search index (slopes, landmarks, adjacency).
+    index: &'a GraphIndex,
+    // Stamped Dijkstra state over the whole graph (O(ℓ), reused).
+    node: Vec<NodeState>,
+    epoch: u32,
+    heap: BinaryHeap<Reverse<u128>>,
+    // The staged k×k block for the current detector list.
+    dets: Vec<u32>,
+    slot: Vec<u32>,
+    slot_stamp: Vec<u32>,
+    slot_epoch: u32,
+    weights: Vec<f64>,
+    obs: Vec<u32>,
+    /// Per-target settle bound of the current expansion (NaN = excluded).
+    bound: Vec<f64>,
+    staged: bool,
+    /// Which engine produced the staged block (see [`StageFlavor`]).
+    flavor: StageFlavor,
+    stats: LocalWeightStats,
+}
+
+impl<'a> LocalWeightProvider<'a> {
+    /// Creates a provider over a matching graph and its boundary table.
+    /// The graph's search index is built on the first call for a graph
+    /// and shared by every later provider over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the boundary table was built for a different number of
+    /// detectors.
+    pub fn new(graph: &'a MatchingGraph, boundary: &'a BoundaryTable) -> LocalWeightProvider<'a> {
+        let n = graph.num_detectors();
+        assert_eq!(
+            boundary.len(),
+            n,
+            "boundary table size does not match the graph"
+        );
+        LocalWeightProvider {
+            graph,
+            boundary,
+            index: graph.local_index(),
             node: vec![
                 NodeState {
                     dist: f64::INFINITY,
@@ -447,10 +518,6 @@ impl<'a> LocalWeightProvider<'a> {
             ],
             epoch: 0,
             heap: BinaryHeap::new(),
-            adj_head,
-            w_max: adj.iter().map(|e| e.weight).fold(0.0, f64::max),
-            w_gran: adj.iter().map(|e| e.weight).fold(f64::INFINITY, f64::min) * (1.0 - 1e-6),
-            adj,
             dets: Vec::new(),
             slot: vec![0; n],
             slot_stamp: vec![0; n],
@@ -600,12 +667,7 @@ impl<'a> LocalWeightProvider<'a> {
                     }
                 }
             }
-            let (a0, a1) = (
-                self.adj_head[u as usize] as usize,
-                self.adj_head[u as usize + 1] as usize,
-            );
-            for a in a0..a1 {
-                let e = self.adj[a];
+            for &e in self.index.adj(u) {
                 let nd = d + e.weight;
                 let nw = &mut self.node[e.nbr as usize];
                 if nw.stamp != stamp || nd < nw.dist {
@@ -684,7 +746,7 @@ impl<'a> LocalWeightProvider<'a> {
             let quant_bound = (qb_src + self.boundary.weight_q(dst) as f64 + 1.0) / scale;
             let b = exact_bound.max(quant_bound);
             let cutoff = b * (1.0 + 1e-9) + 1e-9;
-            if self.lower_bound(src, dst) > cutoff || self.landmark_bound(src, dst) > cutoff {
+            if self.lower_bound(src, dst) > cutoff || self.index.landmark_bound(src, dst) > cutoff {
                 od.stats.excluded += 1;
                 continue;
             }
@@ -765,12 +827,7 @@ impl<'a> LocalWeightProvider<'a> {
                     }
                 }
             }
-            let (a0, a1) = (
-                self.adj_head[u as usize] as usize,
-                self.adj_head[u as usize + 1] as usize,
-            );
-            for a in a0..a1 {
-                let e = self.adj[a];
+            for &e in self.index.adj(u) {
                 let nd = d + e.weight;
                 let nw = &mut self.node[e.nbr as usize];
                 if nw.stamp != stamp || nd < nw.dist {
@@ -805,10 +862,11 @@ impl<'a> LocalWeightProvider<'a> {
     /// Stages the pair-weight block for one detector list with the
     /// graph-native primal-dual engine: every fired detector grows its
     /// own fractional-radius capped Dijkstra ball over the provider's
-    /// stamped node arrays, and pair weights are recovered afterwards
-    /// from co-settlement alone — no one-sided search ever runs (see
-    /// the [`graph_pd`](crate::graph_pd) module docs for the share-pass
-    /// and witness-exactness arguments).
+    /// stamped node arrays, and pair weights are recovered from
+    /// co-settlement alone — no one-sided search ever runs (see the
+    /// [`graph_pd`](crate::graph_pd) module docs for the share-pass and
+    /// witness-exactness arguments). This is the default deep-tail
+    /// engine, [`DeepBackend::GraphPd`].
     ///
     /// The resulting block has the staged oracle's *semantics* — the
     /// same settled-pair set (`d(i, j) ≤ bound(i, j)`), exact weights
@@ -818,9 +876,8 @@ impl<'a> LocalWeightProvider<'a> {
     /// chain) and equal-weight shortest chains may tie-break to a
     /// different observable parity. Decoders built on this block carry
     /// an optimality certificate (equal total matching weight under the
-    /// oracle's weights), not a matching-for-matching identity; that is
-    /// the [`DeepBackend::GraphPd`] contract, enforced by
-    /// `tests/graphpd_vs_ondemand.rs`.
+    /// oracle's weights), not a matching-for-matching identity, enforced
+    /// by `tests/graphpd_vs_ondemand.rs`.
     ///
     /// Restaging the identical list is a memoized no-op, keyed by
     /// staging flavor like the other engines.
@@ -841,40 +898,41 @@ impl<'a> LocalWeightProvider<'a> {
             self.slot[d as usize] = s as u32;
             self.slot_stamp[d as usize] = self.slot_epoch;
         }
-        let scale = self.boundary.scale();
+        let ix = self.index;
 
-        // Distance envelope: landmark lower/upper bounds for every slot
-        // pair, with the upper bounds sharpened by a metric closure
-        // through the fired detectors themselves — `ub(i, j) ≤
-        // ub(i, m) + ub(m, j)` stays sound because each term
-        // overestimates a true distance. Landmarks are global, detector
-        // chains are local; the closure recovers tight radii for pairs
-        // the landmarks see poorly. Cubic in k and row-vectorized, so
-        // the very deepest shots fall back to raw landmark bounds
-        // rather than pay k³.
-        gp.lb.clear();
-        gp.lb.resize(k * k, 0.0);
-        gp.ub.clear();
-        gp.ub.resize(k * k, 0.0);
+        // Distance envelope: landmark upper bounds for every slot pair,
+        // sharpened by a metric closure through the fired detectors
+        // themselves — `ub(i, j) ≤ ub(i, m) + ub(m, j)` stays sound
+        // because each term overestimates a true distance. Landmarks are
+        // global, detector chains are local; the closure recovers tight
+        // radii for pairs the landmarks see poorly. Cubic in k and
+        // row-vectorized, so the very deepest shots fall back to raw
+        // landmark bounds rather than pay k³. The bounds live in the
+        // block's own k×k `weights`, which holds nothing until resolution
+        // rewrites it; lower bounds are not stored at all — the census
+        // recomputes each from the landmark rows.
+        self.weights.clear();
+        self.weights.resize(k * k, 0.0);
+        self.obs.clear();
+        self.obs.resize(k * k, 0);
         for i in 0..k {
             for j in (i + 1)..k {
-                let (lm_lb, lm_ub) = self.landmark_bounds(dets[i], dets[j]);
-                gp.lb[i * k + j] = lm_lb;
-                gp.lb[j * k + i] = lm_lb;
-                gp.ub[i * k + j] = lm_ub;
-                gp.ub[j * k + i] = lm_ub;
+                let ub = ix.landmark_upper(dets[i], dets[j]);
+                self.weights[i * k + j] = ub;
+                self.weights[j * k + i] = ub;
             }
         }
         if k <= GRAPH_PD_CLOSURE_LIMIT {
+            let ub = &mut self.weights;
             gp.closure_row.resize(k, 0.0);
             for m in 0..k {
-                gp.closure_row.copy_from_slice(&gp.ub[m * k..(m + 1) * k]);
+                gp.closure_row.copy_from_slice(&ub[m * k..(m + 1) * k]);
                 for i in 0..k {
-                    let base = gp.ub[i * k + m];
+                    let base = ub[i * k + m];
                     if !base.is_finite() {
                         continue;
                     }
-                    let row = &mut gp.ub[i * k..(i + 1) * k];
+                    let row = &mut ub[i * k..(i + 1) * k];
                     for (u, &pivot) in row.iter_mut().zip(&gp.closure_row) {
                         *u = u.min(base + pivot);
                     }
@@ -884,40 +942,36 @@ impl<'a> LocalWeightProvider<'a> {
 
         // Pair census: exclude what a lower bound certifies dominated,
         // record every kept pair's requirement, and accumulate
-        // tentative midpoint caps (reusing the closure row buffer).
+        // tentative midpoint caps (reusing the closure row buffer). A
+        // kept pair's per-pair numbers live in its upper-triangle cell
+        // of the block rather than in its 16-byte record: the
+        // requirement replaces the cell's upper bound here, the sweep
+        // cutoff replaces the requirement in the last share round, and
+        // the witness parity goes to the same cell of `obs`.
         gp.pairs.clear();
         gp.regions.clear();
-        gp.regions.resize(k, RegionRec { cap: 0.0, pairs: 0 });
+        gp.regions.resize(k, RegionRec::EMPTY);
         gp.closure_row.clear();
         gp.closure_row.resize(k, 0.0);
         for i in 0..k {
             let src = dets[i];
-            let b_src = self.boundary.weight(src);
-            let qb_src = self.boundary.weight_q(src) as f64;
             for (j, &dst) in dets.iter().enumerate().skip(i + 1) {
-                let exact_bound = b_src + self.boundary.weight(dst);
-                let quant_bound = (qb_src + self.boundary.weight_q(dst) as f64 + 1.0) / scale;
-                let b = exact_bound.max(quant_bound);
+                let b = self.pair_bound(src, dst);
                 let cutoff = b * (1.0 + 1e-9) + 1e-9;
-                let lm_lb = gp.lb[i * k + j];
-                let lm_ub = gp.ub[i * k + j];
-                if self.lower_bound(src, dst) > cutoff || lm_lb > cutoff {
+                if self.lower_bound(src, dst) > cutoff || ix.landmark_bound(src, dst) > cutoff {
                     gp.stats.excluded += 1;
                     continue;
                 }
-                // Only min(bound, landmark upper bound) of growth,
-                // plus one split edge, split across the two endpoint
-                // balls can matter for this pair: whenever the two cap
-                // radii sum to the chain weight plus w_max, the first
-                // chain node within the walked cap is witnessed by both
-                // balls. `cut` temporarily holds the whole joint
-                // requirement; the share pass below divides it.
-                let need2 = b.min(lm_ub) + self.w_max;
+                // Only min(bound, upper bound) of growth, plus one split
+                // edge, split across the two endpoint balls can matter
+                // for this pair: whenever the two cap radii sum to the
+                // chain weight plus w_max, the first chain node within
+                // the walked cap is witnessed by both balls. The share
+                // pass below divides this joint requirement.
+                let need2 = b.min(self.weights[i * k + j]) + ix.w_max;
+                self.weights[i * k + j] = need2;
                 gp.pairs.push(PairRec {
                     mu: f64::INFINITY,
-                    bound: b,
-                    cut: need2,
-                    parity: 0,
                     i: i as u32,
                     j: j as u32,
                 });
@@ -940,41 +994,53 @@ impl<'a> LocalWeightProvider<'a> {
         // cap is a witness in both balls — so each round's caps are
         // feasible by construction, and a few rounds let the skew
         // concentrate. The final round assigns roles and stores the
-        // walked (second) side's share as the pair's sweep cutoff.
+        // walked side's share as the pair's sweep cutoff.
         for round in 0..4 {
             let last = round == 3;
             for pr in &mut gp.pairs {
                 let (i, j) = (pr.i as usize, pr.j as usize);
                 let (ti, tj) = (gp.closure_row[i], gp.closure_row[j]);
                 let frac = if ti + tj > 0.0 { ti / (ti + tj) } else { 0.5 };
-                let need2 = pr.cut;
+                let cell = &mut self.weights[i * k + j];
+                let need2 = *cell;
                 let share_i = need2 * frac;
                 let share_j = need2 - share_i;
                 if last {
-                    // Walk the smaller share, then skew the split
-                    // further toward the dense side: region caps are
-                    // shared across a region's pairs while the probe
-                    // walk is paid per pair, so shaving the walk radius
-                    // wins even when it bumps a ball.
-                    let (dense, walk, ws) = if share_i >= share_j {
+                    // The side with the larger previous-round cap (the
+                    // lower slot on ties) is dense, so roles follow one
+                    // total order over regions — the growth order below.
+                    // Walk half the smaller share and grow the dense
+                    // side the rest: region caps are shared across a
+                    // region's pairs while the walk (and the log that
+                    // feeds it) is paid per pair, and a dense-only ball
+                    // is never logged, so shaving the walk radius wins
+                    // even when it bumps a ball. At d = 15 the half
+                    // split logs a third of what a 0.8 split did, and
+                    // stages no slower.
+                    let (dense, walk, ws) = if ti >= tj {
                         (i, j, share_j)
                     } else {
                         (j, i, share_i)
                     };
-                    let ws = ws * 0.8;
+                    let ws = ws * 0.5;
                     let ds = need2 - ws;
                     pr.i = dense as u32;
                     pr.j = walk as u32;
-                    pr.cut = ws * (1.0 + 1e-9) + 1e-9;
+                    let cut = ws * (1.0 + 1e-9) + 1e-9;
+                    *cell = cut;
                     let dense_need = ds * (1.0 + 1e-9) + 1e-9;
                     let reg = &mut gp.regions[dense];
                     if dense_need > reg.cap {
                         reg.cap = dense_need;
                     }
                     let reg = &mut gp.regions[walk];
-                    if pr.cut > reg.cap {
-                        reg.cap = pr.cut;
+                    if cut > reg.cap {
+                        reg.cap = cut;
                     }
+                    // The sweep walks this ball up to one granule past
+                    // the cut (bucket-order slack), so its log must hold
+                    // that prefix.
+                    reg.walk = reg.walk.max(cut + ix.w_gran);
                 } else {
                     let reg = &mut gp.regions[i];
                     if share_i > reg.cap {
@@ -993,22 +1059,43 @@ impl<'a> LocalWeightProvider<'a> {
                 }
             }
         }
-        // Role swapping broke the census's grouped-by-first-endpoint
-        // order the sweep relies on; restore it.
-        gp.pairs.sort_unstable_by_key(|pr| pr.i);
 
-        // Growth: one capped Dijkstra per region with tracked pairs,
-        // the on-demand engine's settle loop verbatim, logging each
-        // region's ball as a contiguous run.
-        gp.ball.clear();
-        gp.ball_head.clear();
-        gp.ball_head.push(0);
-        for (i, &src) in dets.iter().enumerate() {
-            let RegionRec { cap, pairs } = gp.regions[i];
-            if pairs == 0 {
-                gp.ball_head.push(gp.ball.len() as u32);
-                continue;
-            }
+        // Growth order: ascending previous-round cap, the higher slot
+        // first on ties — every pair's walked side grows (and logs its
+        // prefix) before its dense side, so each region's sweep can run
+        // right after its growth, while its ball is still the live stamp
+        // in `node`. Pairs are grouped by dense side (role swapping broke
+        // the census's grouping by first endpoint; the re-sort is over
+        // nearly sorted keys) and each region records its group's span.
+        let prev = &gp.closure_row;
+        gp.order.clear();
+        gp.order
+            .extend((0..k as u32).filter(|&r| gp.regions[r as usize].pairs > 0));
+        gp.order.sort_unstable_by(|&a, &b| {
+            prev[a as usize]
+                .total_cmp(&prev[b as usize])
+                .then(b.cmp(&a))
+        });
+        gp.pairs.sort_unstable_by_key(|pr| pr.i);
+        let mut p0 = 0;
+        for group in gp.pairs.chunk_by(|a, b| a.i == b.i) {
+            let p1 = p0 + group.len();
+            gp.regions[group[0].i as usize].dense = [p0 as u32, p1 as u32];
+            p0 = p1;
+        }
+
+        // Growth: one capped Dijkstra per region with tracked pairs, the
+        // on-demand engine's settle loop verbatim. Only the walked
+        // prefix is logged: every walk over a ball stops at its first
+        // entry past the region's largest cutoff, so entries from there
+        // on are never read, and a region no pair walks logs nothing.
+        gp.ball.reset(self.node.len());
+        let gran = ix.w_gran;
+        let inv_gran = 1.0 / gran;
+        for o in 0..gp.order.len() {
+            let r = gp.order[o] as usize;
+            let src = dets[r];
+            let RegionRec { cap, walk, .. } = gp.regions[r];
             gp.stats.regions += 1;
             let stamp = self.bump_node_epoch();
             self.node[src as usize] = NodeState {
@@ -1016,13 +1103,13 @@ impl<'a> LocalWeightProvider<'a> {
                 stamp,
                 parity: 0,
             };
-            let gran = self.w_gran;
-            let inv_gran = 1.0 / gran;
             let nb = (cap * inv_gran) as usize + 2;
             if gp.dial.len() < nb {
                 gp.dial.resize_with(nb, Vec::new);
             }
             gp.dial[0].push(heap_key(0.0, src));
+            gp.ball.begin();
+            let mut logging = true;
             let mut pending = 1usize;
             let mut b = 0usize;
             while pending > 0 {
@@ -1038,16 +1125,18 @@ impl<'a> LocalWeightProvider<'a> {
                         continue;
                     }
                     gp.stats.grows += 1;
-                    gp.ball.push(BallEntry {
-                        dist: d,
-                        node: u,
-                        par: nu.parity,
-                    });
-                    let a0 = self.adj_head[u as usize] as usize;
-                    let a1 = self.adj_head[u as usize + 1] as usize;
-                    gp.stats.edge_events += (a1 - a0) as u64;
-                    for a in a0..a1 {
-                        let e = self.adj[a];
+                    if logging {
+                        logging = d <= walk;
+                        if logging {
+                            gp.ball.push(BallEntry {
+                                dist: d,
+                                node: u,
+                                par: nu.parity,
+                            });
+                        }
+                    }
+                    gp.stats.edge_events += ix.adj(u).len() as u64;
+                    for &e in ix.adj(u) {
                         let nd = d + e.weight;
                         let nw = &mut self.node[e.nbr as usize];
                         if nw.stamp != stamp || nd < nw.dist {
@@ -1074,102 +1163,83 @@ impl<'a> LocalWeightProvider<'a> {
                 b += 1;
             }
             gp.stats.frozen += 1;
-            gp.ball_head.push(gp.ball.len() as u32);
-        }
+            gp.regions[r].log = gp.ball.end();
 
-        // Pair-major meet sweep. The census emitted pairs grouped by
-        // first endpoint, so each region's ball is painted into the
-        // dense O(ℓ) image exactly once; every pair of that group then
-        // walks the partner ball's distance-sorted prefix up to its own
-        // witness cutoff and probes the image. Per-pair cost scales
-        // with that pair's relevant volume, not the region's worst
-        // pair.
-        let n_nodes = self.node.len();
-        gp.dense.resize(n_nodes, DenseEntry::default());
-        let mut p0 = 0;
-        while p0 < gp.pairs.len() {
-            let i = gp.pairs[p0].i;
-            let mut p1 = p0 + 1;
-            while p1 < gp.pairs.len() && gp.pairs[p1].i == i {
-                p1 += 1;
-            }
-            let next = gp.dense_epoch.wrapping_add(1);
-            gp.dense_epoch = if next == 0 {
-                for d in &mut gp.dense {
-                    d.stamp = 0;
-                }
-                1
-            } else {
-                next
-            };
-            let stamp = gp.dense_epoch;
-            let s = gp.ball_head[i as usize] as usize;
-            let e = gp.ball_head[i as usize + 1] as usize;
-            for b in &gp.ball[s..e] {
-                gp.dense[b.node as usize] = DenseEntry {
-                    dist: b.dist,
-                    stamp,
-                    par: b.par,
-                };
-            }
-            for p in p0..p1 {
+            // Meet sweep of the pairs whose dense side is this region.
+            // Its ball is exactly the nodes carrying this growth's stamp
+            // at a distance within the cap (frontier nodes past the cap
+            // hold tentative distances and are filtered out), so every
+            // pair walks its partner's logged prefix up to its own
+            // witness cutoff and probes `node` directly. Per-pair cost
+            // scales with that pair's relevant volume, not the region's
+            // worst pair.
+            let [p0, p1] = gp.regions[r].dense;
+            for p in p0 as usize..p1 as usize {
                 let pr = gp.pairs[p];
-                let js = gp.ball_head[pr.j as usize] as usize;
-                let je = gp.ball_head[pr.j as usize + 1] as usize;
+                let (i, j) = (pr.i as usize, pr.j as usize);
                 let mut mu = pr.mu;
-                let mut par = pr.parity;
-                let cut_s = pr.cut + self.w_gran;
-                for b in &gp.ball[js..je] {
-                    let dj = b.dist;
+                let mut par = 0;
+                let cut_s = self.weights[i.min(j) * k + i.max(j)] + gran;
+                for e in gp.ball.span(gp.regions[pr.j as usize].log) {
+                    let dj = e.dist;
                     // Entries past the cutoff can't witness an exact
                     // chain; entries at or past the running minimum
                     // can't improve it (cand ≥ dj ≥ mu). The balls are
                     // bucket-ordered, not totally ordered, so both
                     // breaks carry one granule of slack — later entries
                     // can undershoot this one by at most `w_gran`.
-                    if dj > cut_s || dj >= mu + self.w_gran {
+                    if dj > cut_s || dj >= mu + gran {
                         break;
                     }
-                    let d = gp.dense[b.node as usize];
-                    if d.stamp != stamp {
-                        continue;
-                    }
-                    let cand = d.dist + dj;
+                    // Branch-free membership test: the walk crosses the
+                    // ball's edge often, so a select beats two
+                    // data-dependent branches.
+                    let d = self.node[e.node as usize];
+                    let inside = (d.stamp == stamp) & (d.dist <= cap);
+                    let cand = if inside { d.dist + dj } else { f64::INFINITY };
                     if cand < mu {
                         mu = cand;
-                        par = d.par ^ b.par;
+                        par = d.parity ^ e.par;
                     }
                 }
                 gp.pairs[p].mu = mu;
-                gp.pairs[p].parity = par;
+                self.obs[i * k + j] = par;
             }
-            p0 = p1;
         }
 
         // Resolution: a witness at or under the bound is the exact pair
         // weight (merge); balls that never touched under the bound
         // certify boundary dominance in both weight domains.
-        self.weights.clear();
-        self.weights.resize(k * k, f64::INFINITY);
-        self.obs.clear();
-        self.obs.resize(k * k, 0);
+        self.weights.fill(f64::INFINITY);
         for i in 0..k {
             self.weights[i * k + i] = 0.0;
         }
         for pr in &gp.pairs {
-            if pr.mu.is_finite() && pr.mu <= pr.bound {
+            let (i, j) = (pr.i as usize, pr.j as usize);
+            if pr.mu.is_finite() && pr.mu <= self.pair_bound(dets[i], dets[j]) {
                 gp.stats.merges += 1;
-                let (i, j) = (pr.i as usize, pr.j as usize);
                 self.weights[i * k + j] = pr.mu;
-                self.obs[i * k + j] = pr.parity;
                 self.weights[j * k + i] = pr.mu;
-                self.obs[j * k + i] = pr.parity;
+                self.obs[j * k + i] = self.obs[i * k + j];
             } else {
                 gp.stats.deadline_pruned += 1;
+                self.obs[i * k + j] = 0;
             }
         }
         self.staged = true;
         self.flavor = StageFlavor::GraphPd;
+    }
+
+    /// The dominance bound of a pair, `max(bₐ + b_b, (qbₐ + qb_b + 1)/scale)`:
+    /// past it, matching both detectors to the boundary wins in both
+    /// weight domains (the quantized bound is padded by one subunit so
+    /// rounding can never under-settle).
+    #[inline]
+    fn pair_bound(&self, a: u32, b: u32) -> f64 {
+        let bt = self.boundary;
+        let exact_bound = bt.weight(a) + bt.weight(b);
+        let quant_bound = (bt.weight_q(a) as f64 + bt.weight_q(b) as f64 + 1.0) / bt.scale();
+        exact_bound.max(quant_bound)
     }
 
     /// Advances the Dijkstra stamp epoch, clearing stamps on wraparound.
@@ -1193,48 +1263,7 @@ impl<'a> LocalWeightProvider<'a> {
         let (ca, cb) = (self.graph.coord(a), self.graph.coord(b));
         let dr = (ca.row - cb.row).abs().max((ca.col - cb.col).abs()) as f64;
         let dt = (ca.round - cb.round).abs() as f64;
-        (self.space_cost * dr).max(self.time_cost * dt)
-    }
-
-    /// ALT landmark lower bound on the shortest-path weight: the triangle
-    /// inequality gives `d(a, b) ≥ |d(l, a) − d(l, b)|` for every
-    /// landmark `l`, deflated by the usual 1e-9 so the bound stays valid
-    /// under f64 rounding of the landmark distances. A landmark that
-    /// reaches exactly one endpoint proves the pair disconnected (the
-    /// bound is `INFINITY`); one that reaches neither contributes nothing
-    /// (the `NaN` difference is discarded by `max`).
-    #[inline]
-    fn landmark_bound(&self, a: u32, b: u32) -> f64 {
-        let l = self.num_land;
-        let da = &self.land[a as usize * l..a as usize * l + l];
-        let db = &self.land[b as usize * l..b as usize * l + l];
-        let mut lb = 0.0f64;
-        for (x, y) in da.iter().zip(db) {
-            lb = lb.max((x - y).abs());
-        }
-        lb * (1.0 - 1e-9) - 1e-9
-    }
-
-    /// ALT landmark lower *and* upper bounds on the shortest-path weight
-    /// in one pass over the landmark rows: the triangle inequality gives
-    /// `|d(l, a) − d(l, b)| ≤ d(a, b) ≤ d(l, a) + d(l, b)` for every
-    /// landmark `l`. The lower bound is deflated exactly like
-    /// [`landmark_bound`](Self::landmark_bound); the upper bound is the
-    /// raw f64 sum (callers inflate before trusting it as a radius). A
-    /// landmark reaching neither endpoint contributes `NaN`/`INFINITY`,
-    /// which `max`/`min` discard.
-    #[inline]
-    fn landmark_bounds(&self, a: u32, b: u32) -> (f64, f64) {
-        let l = self.num_land;
-        let da = &self.land[a as usize * l..a as usize * l + l];
-        let db = &self.land[b as usize * l..b as usize * l + l];
-        let mut lb = 0.0f64;
-        let mut ub = f64::INFINITY;
-        for (x, y) in da.iter().zip(db) {
-            lb = lb.max((x - y).abs());
-            ub = ub.min(x + y);
-        }
-        (lb * (1.0 - 1e-9) - 1e-9, ub)
+        (self.index.space_cost * dr).max(self.index.time_cost * dt)
     }
 
     /// Slot of a staged detector.
@@ -1534,6 +1563,33 @@ mod tests {
         assert_eq!(bsl, vec![bt.weight(9), bt.weight(33)]);
         assert_eq!(wsl[0], 0.0);
         assert_eq!(wsl[1].to_bits(), wl[4 + 3].to_bits());
+    }
+
+    #[test]
+    fn providers_on_one_graph_share_one_index() {
+        // The index is the graph's, built lazily by the first provider
+        // and borrowed by every later one: constructing the graph does not
+        // build it, and a second provider neither rebuilds nor copies it.
+        let g = graph(5, 5e-3);
+        let bt = BoundaryTable::new(&g);
+        assert!(!g.local_index_built(), "graph construction built the index");
+        let a = LocalWeightProvider::new(&g, &bt);
+        assert!(g.local_index_built());
+        let b = LocalWeightProvider::new(&g, &bt);
+        assert!(std::ptr::eq(a.index, b.index));
+        assert!(std::ptr::eq(a.index, g.local_index()));
+        // A clone of the provider (one per worker decoder) borrows it too.
+        assert!(std::ptr::eq(a.clone().index, a.index));
+        // Both providers still stage independently over the shared index.
+        let (mut a, mut b) = (a, b);
+        let dets: Vec<u32> = (0..g.num_detectors() as u32).step_by(5).collect();
+        a.stage(&dets);
+        b.stage(&dets);
+        for &x in &dets {
+            for &y in &dets {
+                assert_eq!(a.pair_weight(x, y).to_bits(), b.pair_weight(x, y).to_bits());
+            }
+        }
     }
 
     #[test]

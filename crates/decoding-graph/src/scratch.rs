@@ -156,7 +156,7 @@ pub struct DecodeScratch {
     /// `::Local`).
     pub ondemand: OndemandScratch,
     /// Persistent arena (and work counters) for the graph-native
-    /// primal-dual discovery engine (opt-in deep tail under
+    /// primal-dual discovery engine (the default deep tail under
     /// [`WeightSource`](crate::WeightSource) `::Local`).
     pub graphpd: GraphPdScratch,
 }

@@ -133,13 +133,14 @@ impl ExperimentContext {
 pub type DecoderFactory<'a> = dyn Fn(&'a ExperimentContext) -> Box<dyn Decoder + 'a> + Sync + 'a;
 
 /// A [`DecoderFactory`] producing backend-agnostic MWPM decoders with an
-/// explicit deep-tail engine — the one-liner opt-in that lets batch,
-/// pipeline, and serving runs select
-/// [`DeepBackend::GraphPd`](blossom_mwpm::DeepBackend) (or pin
-/// `Ondemand`/`Staged`) without hand-writing a closure:
+/// explicit deep-tail engine — the one-liner that lets batch, pipeline,
+/// and serving runs pin `Ondemand` (bit-identical to the GWT) or
+/// `Staged` (the oracle) instead of the default
+/// [`DeepBackend::GraphPd`](blossom_mwpm::DeepBackend), or name the
+/// default explicitly, without hand-writing a closure:
 ///
 /// ```ignore
-/// let f = mwpm_factory(DeepBackend::GraphPd);
+/// let f = mwpm_factory(DeepBackend::Ondemand);
 /// let (res, counters) = estimate_ler_streamed_counted(&ctx, n, seed, &f, cfg);
 /// ```
 pub fn mwpm_factory(

@@ -71,7 +71,8 @@ fn decoder_pair(ctx: &ExperimentContext, quantized: bool) -> (MwpmDecoder<'_>, M
         MwpmDecoder::for_context_quantized(ctx.decoding())
     } else {
         MwpmDecoder::for_context(ctx.decoding())
-    };
+    }
+    .with_deep_backend(DeepBackend::Ondemand);
     let gpd = ond.clone().with_deep_backend(DeepBackend::GraphPd);
     assert_eq!(ond.deep_backend(), DeepBackend::Ondemand);
     assert_eq!(gpd.deep_backend(), DeepBackend::GraphPd);
@@ -173,6 +174,52 @@ fn weight_certificates_hold_on_both_axes() {
         deep_total as usize > shots(1_000),
         "only {deep_total} deep syndromes exercised"
     );
+
+    // The regime the default engine exists for: d = 15 at p = 5×10⁻³,
+    // past the GWT budget, where every shot is deep. The default decoder
+    // (graph-pd) must return a perfect matching whose weight equals the
+    // staged oracle's optimum, both as the decoders report it and
+    // re-evaluated under the oracle's own staged weights.
+    let ctx = ExperimentContext::new(15, 5e-3);
+    assert!(ctx.decoding().try_gwt().is_none(), "d = 15 built a GWT");
+    let mut oracle = LocalWeightProvider::new(ctx.graph(), ctx.decoding().boundary());
+    let mut sampler = DemSampler::new(ctx.dem());
+    let mut rng = StdRng::seed_from_u64(6015);
+    let corpus: Vec<Vec<u32>> =
+        std::iter::repeat_with(|| sampler.sample(&mut rng).detectors.clone())
+            .filter(|d| d.len() > DP_NODE_LIMIT)
+            .take(shots(16))
+            .collect();
+    for quantized in [false, true] {
+        let prod = if quantized {
+            MwpmDecoder::for_context_quantized(ctx.decoding())
+        } else {
+            MwpmDecoder::for_context(ctx.decoding())
+        };
+        assert_eq!(prod.deep_backend(), DeepBackend::GraphPd);
+        let staged = prod.clone().with_deep_backend(DeepBackend::Staged);
+        for detectors in &corpus {
+            let fp = prod.decode_full(detectors);
+            let fs = staged.decode_full(detectors);
+            assert!(
+                fp.is_perfect_over(detectors),
+                "d = 15, quantized = {quantized}"
+            );
+            oracle.stage(detectors);
+            let want = fs.weight;
+            for (what, got) in [
+                ("reported", fp.weight),
+                ("re-evaluated", matching_weight(&fp, &oracle, quantized)),
+            ] {
+                assert!(
+                    (got - want).abs() <= 1e-6 * want.abs().max(1.0),
+                    "d = 15, quantized = {quantized}: default decoder's {what} weight {got}, \
+                     staged optimum {want} (k = {})",
+                    detectors.len()
+                );
+            }
+        }
+    }
 }
 
 #[test]

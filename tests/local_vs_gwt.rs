@@ -55,11 +55,19 @@ fn grid() -> &'static [(ExperimentContext, ExperimentContext)] {
     })
 }
 
+/// Pins the deep-tail engine that is bit-identical to the table. The
+/// default engine (graph-pd) is weight-certified instead, which
+/// [`default_decoder_deep_weights_match_the_gwt`] checks. A no-op on the
+/// GWT backend, so factories shared by both contexts pin it too.
+fn ondemand(decoder: MwpmDecoder<'_>) -> MwpmDecoder<'_> {
+    decoder.with_deep_backend(DeepBackend::Ondemand)
+}
+
 #[test]
 fn full_matchings_are_bit_identical() {
     for (g, l) in grid() {
         let gdec = MwpmDecoder::for_context(g.decoding());
-        let ldec = MwpmDecoder::for_context(l.decoding());
+        let ldec = ondemand(MwpmDecoder::for_context(l.decoding()));
         let mut sampler = DemSampler::new(g.dem());
         let mut rng = StdRng::seed_from_u64(1000 + g.distance as u64);
         for _ in 0..shots(600) {
@@ -84,10 +92,16 @@ fn full_matchings_are_bit_identical() {
 }
 
 #[test]
-fn scratch_decodes_agree_on_both_weight_axes() {
+fn default_decoder_deep_weights_match_the_gwt() {
+    // The default GWT-free decoder stages deep shots with graph-pd, which
+    // may break equal-weight ties differently from the table's one-sided
+    // chains; what it must keep is the optimum. On every deep shot its
+    // full matching is perfect over the detectors and weighs what the GWT
+    // decoder's does, within 1e-6 relative, on both weight axes.
+    let mut deep = 0u32;
     for (g, l) in grid() {
         for quantized in [false, true] {
-            let (mut gdec, mut ldec) = if quantized {
+            let (gdec, ldec) = if quantized {
                 (
                     MwpmDecoder::for_context_quantized(g.decoding()),
                     MwpmDecoder::for_context_quantized(l.decoding()),
@@ -96,6 +110,50 @@ fn scratch_decodes_agree_on_both_weight_axes() {
                 (
                     MwpmDecoder::for_context(g.decoding()),
                     MwpmDecoder::for_context(l.decoding()),
+                )
+            };
+            assert_eq!(ldec.deep_backend(), DeepBackend::GraphPd);
+            let mut sampler = DemSampler::new(g.dem());
+            let mut rng = StdRng::seed_from_u64(2500 + g.distance as u64);
+            for _ in 0..shots(600) {
+                let shot = sampler.sample(&mut rng);
+                if shot.detectors.len() <= DP_NODE_LIMIT {
+                    continue;
+                }
+                deep += 1;
+                let sg = gdec.decode_full(&shot.detectors);
+                let sl = ldec.decode_full(&shot.detectors);
+                assert!(sl.is_perfect_over(&shot.detectors), "d = {}", g.distance);
+                assert!(
+                    (sl.weight - sg.weight).abs() <= 1e-6 * sg.weight.abs().max(1.0),
+                    "d = {}, quantized = {quantized}: default decoder weighs {}, GWT {} ({:?})",
+                    g.distance,
+                    sl.weight,
+                    sg.weight,
+                    shot.detectors
+                );
+            }
+        }
+    }
+    assert!(
+        deep as usize > shots(400),
+        "only {deep} deep syndromes sampled"
+    );
+}
+
+#[test]
+fn scratch_decodes_agree_on_both_weight_axes() {
+    for (g, l) in grid() {
+        for quantized in [false, true] {
+            let (mut gdec, mut ldec) = if quantized {
+                (
+                    MwpmDecoder::for_context_quantized(g.decoding()),
+                    ondemand(MwpmDecoder::for_context_quantized(l.decoding())),
+                )
+            } else {
+                (
+                    MwpmDecoder::for_context(g.decoding()),
+                    ondemand(MwpmDecoder::for_context(l.decoding())),
                 )
             };
             let mut sg = DecodeScratch::new();
@@ -129,7 +187,7 @@ fn batched_decodes_agree() {
     for (g, l) in grid() {
         let batch = sample_batch(g, shots(3_000) as u64, 4, 77);
         let mut gdec = MwpmDecoder::for_context(g.decoding());
-        let mut ldec = MwpmDecoder::for_context(l.decoding());
+        let mut ldec = ondemand(MwpmDecoder::for_context(l.decoding()));
         let mut sg = DecodeScratch::new();
         let mut sl = DecodeScratch::new();
         let rg = decode_slice(&mut gdec, &mut sg, &batch, 0..batch.len());
@@ -141,7 +199,7 @@ fn batched_decodes_agree() {
 #[test]
 fn streamed_pipeline_agrees_across_tiles_and_threads() {
     let factory: Box<astrea_experiments::DecoderFactory> = Box::new(|c: &ExperimentContext| {
-        Box::new(MwpmDecoder::for_context(c.decoding())) as Box<dyn Decoder + '_>
+        Box::new(ondemand(MwpmDecoder::for_context(c.decoding()))) as Box<dyn Decoder + '_>
     });
     for (g, l) in grid() {
         let mut reference = None;
@@ -181,7 +239,7 @@ fn streamed_pipeline_agrees_across_tiles_and_threads() {
 #[test]
 fn small_runs_split_across_consumers_match_barrier() {
     let factory: Box<astrea_experiments::DecoderFactory> = Box::new(|c: &ExperimentContext| {
-        Box::new(MwpmDecoder::for_context(c.decoding())) as Box<dyn Decoder + '_>
+        Box::new(ondemand(MwpmDecoder::for_context(c.decoding()))) as Box<dyn Decoder + '_>
     });
     let schedule_free = |c: &PipelineCounters| {
         [
@@ -234,7 +292,7 @@ fn serving_front_end_agrees() {
         let mut responses: Vec<Vec<(u64, Prediction)>> = Vec::new();
         for ctx in [g, l] {
             let factory: Arc<BatchDecoderFactory> = Arc::new(|c: &DecodingContext| {
-                Box::new(MwpmDecoder::for_context(c)) as Box<dyn Decoder>
+                Box::new(ondemand(MwpmDecoder::for_context(c))) as Box<dyn Decoder>
             });
             let service = DecodeService::new(
                 Arc::new(ctx.decoding().clone()),

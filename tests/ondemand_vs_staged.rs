@@ -64,7 +64,8 @@ fn decoder_pair(ctx: &ExperimentContext, quantized: bool) -> (MwpmDecoder<'_>, M
         MwpmDecoder::for_context_quantized(ctx.decoding())
     } else {
         MwpmDecoder::for_context(ctx.decoding())
-    };
+    }
+    .with_deep_backend(DeepBackend::Ondemand);
     let stg = ond.clone().with_deep_backend(DeepBackend::Staged);
     assert_eq!(ond.deep_backend(), DeepBackend::Ondemand);
     assert_eq!(stg.deep_backend(), DeepBackend::Staged);
@@ -239,7 +240,8 @@ fn streamed_pipeline_agrees_across_tiles_and_threads() {
     use astrea::experiments::estimate_ler_streamed_counted;
 
     let ondemand: Box<astrea_experiments::DecoderFactory> = Box::new(|c: &ExperimentContext| {
-        Box::new(MwpmDecoder::for_context(c.decoding())) as Box<dyn Decoder + '_>
+        Box::new(MwpmDecoder::for_context(c.decoding()).with_deep_backend(DeepBackend::Ondemand))
+            as Box<dyn Decoder + '_>
     });
     let staged: Box<astrea_experiments::DecoderFactory> = Box::new(|c: &ExperimentContext| {
         Box::new(MwpmDecoder::for_context(c.decoding()).with_deep_backend(DeepBackend::Staged))

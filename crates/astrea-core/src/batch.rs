@@ -1,9 +1,4 @@
-//! Batched decoding over a persistent worker pool.
-//!
-//! Monte-Carlo experiments decode millions of independent shots; spawning
-//! threads (and rebuilding decoders) per call wastes most of the runtime
-//! at realistic error rates where the typical syndrome is trivial. This
-//! module provides the workspace's batched hot path:
+//! Batched decoding: a shared column of shots and the one shot loop.
 //!
 //! * [`SyndromeBatch`] — a flattened, cheaply shareable column of shots
 //!   (detector lists + expected observable masks) behind an `Arc`.
@@ -12,33 +7,28 @@
 //!   [`SyndromeBatchBuilder::push_packed`] / [`SyndromeBatch::from_packed`],
 //!   which screen out all-zero (trivial) shots at word level before
 //!   materializing sparse detector lists.
-//! * [`BatchDecoder`] — a persistent worker pool. Workers are spawned
-//!   once at construction, each owning one decoder instance (built by the
-//!   caller's factory against the shared [`DecodingContext`]) and one
-//!   reusable [`DecodeScratch`] arena; batches are fed to them over
-//!   channels as interleaved index ranges
-//!   ([`BatchDecoder::decode_batch`]), or packed tiles are streamed to
-//!   them through a shared queue ([`BatchDecoder::decode_stream`], see
-//!   [`crate::pipeline`]).
-//! * [`decode_slice`] — the single shot-loop both the pool workers and
-//!   scoped-thread harnesses (`astrea-experiments`) run, so every decode
-//!   path shares one definition of "decode a shot and account for it".
+//! * [`decode_slice`] — the single shot loop every per-shot decode path
+//!   runs (the scoped-thread harnesses in `astrea-experiments` and the
+//!   reference side of every differential test), so they share one
+//!   definition of "decode a shot and account for it". The streamed
+//!   [`crate::pipeline`] must reproduce it bit-for-bit.
+//! * [`BatchDecoderFactory`] — how long-lived workers (the
+//!   `astrea-serve` `DecodeService`) build one decoder each against a
+//!   shared [`DecodingContext`].
 //!
-//! Determinism: shots are decoded independently, results are written back
-//! by shot index, and all [`LatencyStats`] counters are sums or maxima,
-//! so a batched run is bit-identical to a sequential run regardless of
-//! the pool size. Harnesses that sample shots seed a fresh RNG per shot
-//! from [`shot_seed`]`(seed, shot_index)`, which makes the *sampled
-//! batches* thread-count-independent too.
+//! Determinism: shots are decoded independently and all [`LatencyStats`]
+//! counters are sums or maxima, so splitting a batch across threads and
+//! merging the outcomes is bit-identical to a sequential run. Harnesses
+//! that sample shots seed a fresh RNG per shot from
+//! [`shot_seed`]`(seed, shot_index)`, which makes the *sampled batches*
+//! thread-count-independent too.
 
 use std::ops::Range;
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use crate::latency::LatencyStats;
-use crate::pipeline::{consume_tiles, StreamOutcome, TileQueue, TileScratch};
 use decoding_graph::{DecodeScratch, Decoder, DecodingContext, Prediction};
-use qec_circuit::{BitTable, SyndromeTile};
+use qec_circuit::BitTable;
 
 /// Derives the per-shot RNG seed for shot `index` of a run seeded with
 /// `seed` (a SplitMix64 mix of the pair).
@@ -65,7 +55,7 @@ struct BatchInner {
 /// A column of syndromes to decode: per-shot detector lists (flattened)
 /// plus the actual observable-flip mask of each shot.
 ///
-/// Cloning is an `Arc` bump; a batch can be shared with a worker pool
+/// Cloning is an `Arc` bump; a batch can be shared across threads
 /// without copying shot data.
 #[derive(Debug, Clone, Default)]
 pub struct SyndromeBatch {
@@ -318,11 +308,11 @@ pub struct SliceOutcome {
 /// Decodes shots `range` of `batch` with one decoder + scratch arena,
 /// accumulating predictions and statistics.
 ///
-/// This is the single shot-loop every decode path shares: the
-/// [`BatchDecoder`] workers call it, and scoped-thread harnesses call it
-/// directly on borrowed decoders. Trivial (empty) syndromes are counted
-/// with zero cycles and an identity prediction without touching the
-/// decoder, matching the hardware model.
+/// This is the single shot loop every per-shot decode path shares:
+/// scoped-thread harnesses call it on borrowed decoders, and it is the
+/// reference the streamed tile path is checked against. Trivial (empty)
+/// syndromes are counted with zero cycles and an identity prediction
+/// without touching the decoder, matching the hardware model.
 pub fn decode_slice(
     decoder: &mut dyn Decoder,
     scratch: &mut DecodeScratch,
@@ -351,208 +341,13 @@ pub fn decode_slice(
     out
 }
 
-/// The aggregate result of decoding one batch.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchResult {
-    /// One prediction per shot, indexed exactly like the input batch.
-    pub predictions: Vec<Prediction>,
-    /// Batch counters: shot count, nontrivial syndromes, the
-    /// Hamming-weight histogram, and modeled cycle statistics.
-    pub stats: LatencyStats,
-    /// Shots whose predicted observable mask missed the actual one.
-    pub failures: u64,
-    /// Shots the decoder declined to decode in real time.
-    pub deferred: u64,
-}
-
-/// Builds one decoder per worker against the shared context. The
-/// returned decoder may borrow from the context (every decoder in the
-/// workspace borrows its weight table), hence the HRTB.
+/// Builds one decoder per long-lived worker against a shared context —
+/// the factory `astrea-serve`'s `DecodeService` workers build their
+/// decoders from. The returned decoder may borrow from the context
+/// (every decoder in the workspace borrows its weight table), hence the
+/// HRTB.
 pub type BatchDecoderFactory =
     dyn for<'c> Fn(&'c DecodingContext) -> Box<dyn Decoder + 'c> + Send + Sync;
-
-enum Job {
-    /// Decode a contiguous shot range of a shared batch.
-    Slice {
-        batch: SyndromeBatch,
-        range: Range<usize>,
-        reply: mpsc::Sender<(usize, SliceOutcome)>,
-    },
-    /// Drain a shared tile queue until the producers hang up.
-    Stream {
-        queue: TileQueue,
-        reply: mpsc::Sender<StreamOutcome>,
-    },
-}
-
-/// A persistent pool of decode workers.
-///
-/// Workers (and their decoder + scratch-arena instances) are created
-/// once in [`BatchDecoder::new`] and fed shot ranges over channels on
-/// every [`BatchDecoder::decode_batch`] call; nothing is spawned or
-/// rebuilt per batch. Results are placed by shot index, so the output is
-/// bit-identical to a sequential run for any pool size.
-pub struct BatchDecoder {
-    senders: Vec<mpsc::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl BatchDecoder {
-    /// Spawns `threads` persistent workers (at least one), each building
-    /// its own decoder from `factory` against `ctx`.
-    pub fn new(
-        ctx: Arc<DecodingContext>,
-        threads: usize,
-        factory: Arc<BatchDecoderFactory>,
-    ) -> BatchDecoder {
-        let threads = threads.max(1);
-        let mut senders = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let ctx = Arc::clone(&ctx);
-            let factory = Arc::clone(&factory);
-            let handle = std::thread::Builder::new()
-                .name(format!("astrea-batch-{w}"))
-                .spawn(move || {
-                    let mut decoder = factory(&ctx);
-                    let mut scratch = DecodeScratch::new();
-                    // Tile scratch persists across streamed batches so the
-                    // HW ≤ 2 prediction cache keeps paying off.
-                    let mut tiles = TileScratch::new();
-                    while let Ok(job) = rx.recv() {
-                        // A dropped receiver just means the caller went
-                        // away mid-batch; nothing to clean up.
-                        match job {
-                            Job::Slice {
-                                batch,
-                                range,
-                                reply,
-                            } => {
-                                let start = range.start;
-                                let outcome =
-                                    decode_slice(decoder.as_mut(), &mut scratch, &batch, range);
-                                let _ = reply.send((start, outcome));
-                            }
-                            Job::Stream { queue, reply } => {
-                                let outcome = consume_tiles(
-                                    decoder.as_mut(),
-                                    &mut scratch,
-                                    &mut tiles,
-                                    &queue,
-                                );
-                                let _ = reply.send(outcome);
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn batch decode worker");
-            senders.push(tx);
-            workers.push(handle);
-        }
-        BatchDecoder { senders, workers }
-    }
-
-    /// The number of persistent workers in the pool.
-    pub fn threads(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Decodes every shot of `shots` across the pool.
-    ///
-    /// Shots are sharded into contiguous ranges dealt round-robin to the
-    /// workers — several small shards per worker rather than one large
-    /// chunk each, because nontrivial shots cluster and a single unlucky
-    /// chunk would stall the whole pool behind one worker. Outcomes are
-    /// merged by shot index, so the result is independent of worker
-    /// count, shard size, and scheduling order.
-    pub fn decode_batch(&mut self, shots: &SyndromeBatch) -> BatchResult {
-        let n = shots.len();
-        let mut result = BatchResult {
-            predictions: vec![Prediction::identity(); n],
-            ..BatchResult::default()
-        };
-        if n == 0 {
-            return result;
-        }
-
-        // ~8 shards per worker bounds the load imbalance to one shard
-        // while keeping per-shard channel traffic negligible; the floor
-        // keeps shards from degenerating into per-shot messages on small
-        // batches.
-        let workers = self.senders.len();
-        let chunk = n.div_ceil(workers * 8).max(32);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        for (shard, start) in (0..n).step_by(chunk).enumerate() {
-            let end = (start + chunk).min(n);
-            self.senders[shard % workers]
-                .send(Job::Slice {
-                    batch: shots.clone(),
-                    range: start..end,
-                    reply: reply_tx.clone(),
-                })
-                .expect("batch decode worker exited unexpectedly");
-            outstanding += 1;
-        }
-        drop(reply_tx);
-
-        for _ in 0..outstanding {
-            let (start, outcome) = reply_rx
-                .recv()
-                .expect("batch decode worker dropped a job reply");
-            result.predictions[start..start + outcome.predictions.len()]
-                .copy_from_slice(&outcome.predictions);
-            result.stats.merge(&outcome.stats);
-            result.failures += outcome.failures;
-            result.deferred += outcome.deferred;
-        }
-        result
-    }
-
-    /// Decodes a stream of packed syndrome tiles across the pool — the
-    /// pipelined entry point that overlaps decoding with whatever is
-    /// producing `tiles` (see [`crate::pipeline`]).
-    ///
-    /// Every worker pulls tiles from the shared queue as it finishes the
-    /// previous one (dynamic load balancing), screens them word-parallel,
-    /// and decodes only the hard shots; the call returns once the
-    /// producers have dropped their senders and the queue drained. The
-    /// outcome is bit-identical to converting the same tiles into a
-    /// [`SyndromeBatch`] and calling [`BatchDecoder::decode_batch`],
-    /// minus the per-shot predictions (totals only).
-    pub fn decode_stream(&mut self, tiles: mpsc::Receiver<SyndromeTile>) -> StreamOutcome {
-        let queue = TileQueue::new(tiles);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        for tx in &self.senders {
-            tx.send(Job::Stream {
-                queue: queue.clone(),
-                reply: reply_tx.clone(),
-            })
-            .expect("batch decode worker exited unexpectedly");
-        }
-        drop(reply_tx);
-        let mut out = StreamOutcome::default();
-        for _ in 0..self.senders.len() {
-            out.merge(
-                &reply_rx
-                    .recv()
-                    .expect("batch decode worker dropped a stream reply"),
-            );
-        }
-        out
-    }
-}
-
-impl Drop for BatchDecoder {
-    fn drop(&mut self) {
-        // Closing the job channels ends each worker's receive loop.
-        self.senders.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -564,12 +359,9 @@ mod tests {
     use rand::SeedableRng;
     use surface_code::SurfaceCode;
 
-    fn ctx(d: usize, p: f64) -> Arc<DecodingContext> {
+    fn ctx(d: usize, p: f64) -> DecodingContext {
         let code = SurfaceCode::new(d).unwrap();
-        Arc::new(DecodingContext::for_memory_experiment(
-            &code,
-            NoiseModel::depolarizing(p),
-        ))
+        DecodingContext::for_memory_experiment(&code, NoiseModel::depolarizing(p))
     }
 
     fn sample_batch(ctx: &DecodingContext, shots: usize, seed: u64) -> SyndromeBatch {
@@ -584,78 +376,55 @@ mod tests {
         builder.finish()
     }
 
-    fn mwpm_factory() -> Arc<BatchDecoderFactory> {
+    /// Decodes the whole batch on one fresh decoder from `factory`.
+    fn decode_all(
+        ctx: &DecodingContext,
+        batch: &SyndromeBatch,
+        factory: &BatchDecoderFactory,
+    ) -> SliceOutcome {
+        let mut decoder = factory(ctx);
+        let mut scratch = DecodeScratch::new();
+        decode_slice(decoder.as_mut(), &mut scratch, batch, 0..batch.len())
+    }
+
+    fn mwpm(c: &DecodingContext) -> Box<dyn Decoder + '_> {
         // Backend-aware: resolves to the GWT or the staged local provider
         // according to the context, so the same factory serves both.
-        Arc::new(|c: &DecodingContext| Box::new(MwpmDecoder::for_context(c)) as Box<dyn Decoder>)
+        Box::new(MwpmDecoder::for_context(c))
     }
 
     #[test]
-    fn gwt_free_context_decodes_identically_through_the_pool() {
+    fn gwt_free_context_decodes_identically() {
         let code = SurfaceCode::new(3).unwrap();
         let noise = NoiseModel::depolarizing(5e-3);
-        let gctx = Arc::new(DecodingContext::for_memory_experiment(&code, noise));
-        let lctx = Arc::new(DecodingContext::for_memory_experiment_with(
+        let gctx = DecodingContext::for_memory_experiment(&code, noise);
+        let lctx = DecodingContext::for_memory_experiment_with(
             &code,
             noise,
             decoding_graph::WeightSource::Local,
-        ));
+        );
         assert!(lctx.try_gwt().is_none());
         let batch = sample_batch(&gctx, 1_000, 17);
-        let mut gpool = BatchDecoder::new(Arc::clone(&gctx), 3, mwpm_factory());
-        let mut lpool = BatchDecoder::new(Arc::clone(&lctx), 3, mwpm_factory());
-        assert_eq!(gpool.decode_batch(&batch), lpool.decode_batch(&batch));
+        assert_eq!(
+            decode_all(&gctx, &batch, &mwpm),
+            decode_all(&lctx, &batch, &mwpm)
+        );
     }
 
     #[test]
     fn empty_batch_decodes_to_nothing() {
         let ctx = ctx(3, 1e-3);
-        let mut pool = BatchDecoder::new(Arc::clone(&ctx), 2, mwpm_factory());
-        let result = pool.decode_batch(&SyndromeBatch::builder().finish());
-        assert_eq!(result, BatchResult::default());
-    }
-
-    #[test]
-    fn pool_size_does_not_change_the_result() {
-        let ctx = ctx(3, 5e-3);
-        let batch = sample_batch(&ctx, 2_000, 11);
-        let mut reference = None;
-        for threads in [1, 2, 3, 8] {
-            let mut pool = BatchDecoder::new(Arc::clone(&ctx), threads, mwpm_factory());
-            let result = pool.decode_batch(&batch);
-            assert_eq!(result.predictions.len(), batch.len());
-            match &reference {
-                None => reference = Some(result),
-                Some(r) => assert_eq!(&result, r, "diverged at {threads} threads"),
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_direct_decode_slice() {
-        let ctx = ctx(3, 5e-3);
-        let batch = sample_batch(&ctx, 1_500, 3);
-        let mut pool = BatchDecoder::new(Arc::clone(&ctx), 4, mwpm_factory());
-        let batched = pool.decode_batch(&batch);
-
-        let mut decoder = MwpmDecoder::new(ctx.gwt());
-        let mut scratch = DecodeScratch::new();
-        let seq = decode_slice(&mut decoder, &mut scratch, &batch, 0..batch.len());
-        assert_eq!(batched.predictions, seq.predictions);
-        assert_eq!(batched.stats, seq.stats);
-        assert_eq!(batched.failures, seq.failures);
-        assert_eq!(batched.deferred, seq.deferred);
+        let result = decode_all(&ctx, &SyndromeBatch::builder().finish(), &mwpm);
+        assert_eq!(result, SliceOutcome::default());
     }
 
     #[test]
     fn stats_count_every_shot_and_trivial_ones_are_free() {
         let ctx = ctx(3, 5e-3);
         let batch = sample_batch(&ctx, 4_000, 7);
-        let factory: Arc<BatchDecoderFactory> = Arc::new(|c: &DecodingContext| {
+        let result = decode_all(&ctx, &batch, &|c: &DecodingContext| {
             Box::new(AstreaDecoder::new(c.gwt())) as Box<dyn Decoder>
         });
-        let mut pool = BatchDecoder::new(Arc::clone(&ctx), 3, factory);
-        let result = pool.decode_batch(&batch);
         assert_eq!(result.stats.shots, 4_000);
         let hist = result.stats.hw_histogram();
         let nontrivial: u64 = hist.iter().skip(3).sum();
@@ -664,36 +433,6 @@ mod tests {
         // must cover at least the HW ≤ 2 population.
         assert!(result.stats.cycle_histogram()[0] >= hist[0] + hist[1] + hist[2]);
         assert!(result.stats.max_cycles <= 114);
-    }
-
-    #[test]
-    fn decode_stream_matches_decode_batch_totals() {
-        use crate::pipeline::tile_channel;
-        use qec_circuit::tiles::{PackedSyndromeSource, TileLayout};
-
-        let ctx = ctx(3, 5e-3);
-        let shots = 3_000;
-        let sampler = qec_circuit::BatchDemSampler::new(ctx.dem());
-        let (det, obs) = sampler.sample(19, shots);
-        let batch = SyndromeBatch::from_packed(&det, &obs);
-        let mut pool = BatchDecoder::new(Arc::clone(&ctx), 3, mwpm_factory());
-        let barrier = pool.decode_batch(&batch);
-
-        let layout = TileLayout::new(shots, 5);
-        let (tx, rx) = tile_channel(4);
-        let producer = std::thread::spawn(move || {
-            let mut sampler = sampler;
-            for t in 0..layout.num_tiles() {
-                tx.send(sampler.sample_tile(19, &layout, t)).unwrap();
-            }
-        });
-        let streamed = pool.decode_stream(rx);
-        producer.join().unwrap();
-        assert_eq!(streamed.stats, barrier.stats);
-        assert_eq!(streamed.failures, barrier.failures);
-        assert_eq!(streamed.deferred, barrier.deferred);
-        // The pool survives a stream and still serves plain batches.
-        assert_eq!(pool.decode_batch(&batch), barrier);
     }
 
     #[test]

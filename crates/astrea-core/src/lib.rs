@@ -18,8 +18,9 @@
 //!   with software-MWPM fallback.
 //! * [`overheads`] — the storage and bandwidth models behind Tables 6–7.
 //!
-//! Bulk decoding runs through the [`batch`] engine (persistent
-//! [`BatchDecoder`] worker pool) or, fastest, the streaming [`pipeline`]:
+//! Bulk decoding runs through one of two paths. The [`batch`] module's
+//! [`decode_slice`] decodes a [`SyndromeBatch`] shot by shot and returns
+//! per-shot predictions. The streaming [`pipeline`] is the fast path:
 //! packed syndrome tiles flow from sampler producers over a bounded
 //! channel into consumers that screen shots word-parallel ([`screen`])
 //! and only materialize sparse detector lists for Hamming weight ≥ 3.
@@ -56,8 +57,7 @@ pub mod screen;
 pub use astrea::{AstreaConfig, AstreaDecoder};
 pub use astrea_g::{AstreaGConfig, AstreaGDecoder};
 pub use batch::{
-    decode_slice, shot_seed, BatchDecoder, BatchDecoderFactory, BatchResult, SliceOutcome,
-    SyndromeBatch, SyndromeBatchBuilder,
+    decode_slice, shot_seed, BatchDecoderFactory, SliceOutcome, SyndromeBatch, SyndromeBatchBuilder,
 };
 pub use clique::CliqueDecoder;
 pub use compression::SyndromeCompressor;

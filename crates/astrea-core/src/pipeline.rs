@@ -20,15 +20,19 @@
 //!
 //! * **Trivial** shots are popcounted; their failures read off a
 //!   word-parallel OR of the observable rows.
-//! * **HW-1 / HW-2** shots are decided per *distinct syndrome key per
-//!   word*, not per lane: during the extraction sweep the lane mask
+//! * **HW-1** shots are decided per *distinct syndrome key per word*,
+//!   not per lane: during the extraction sweep the lane mask
 //!   `row(d)[w] & hw1_mask` names every shot of the word whose only
 //!   fired detector is `d`, so one [`ScreenCache`] lookup covers them
-//!   all. Predictions are accumulated as per-observable-bit planes and
-//!   failures fall out of one XOR + popcount against the packed
-//!   observable rows — no per-lane `actual` gather, no per-lane cache
-//!   probe. The [`PipelineCounters`] `hw1_key_lookups`/`hw2_key_lookups`
-//!   fields count the key resolutions so benches can see the dedup.
+//!   all. **HW-2** shots collect their two detectors in the same lane
+//!   buckets as hard shots and take one [`ScreenCache`] probe each
+//!   after the sweep (distinct pair keys per word are ~98–100 % of HW-2
+//!   shots on sampled and replayed streams, so grouping them saved
+//!   nothing). Both tiers accumulate predictions as per-observable-bit
+//!   planes, and failures fall out of one XOR + popcount against the
+//!   packed observable rows — no per-lane `actual` gather. The
+//!   [`PipelineCounters`] `hw1_key_lookups`/`hw2_key_lookups` fields
+//!   count the cache probes.
 //! * **Closed forms (HW 3–4)** are grouped per tile by weight and
 //!   dispatched through [`Decoder::decode_same_weight_batch`]. On the
 //!   exact weight table the MWPM decoder uses it to gather every shot's
@@ -64,8 +68,9 @@
 //! Consumers share one [`TileQueue`], so a tile is decoded by whichever
 //! worker is free — there is no static shot-to-worker assignment to
 //! imbalance. The cost is that per-shot predictions are not returned in
-//! order (use [`BatchDecoder::decode_batch`](crate::BatchDecoder) when
-//! predictions matter); LER estimation only needs the totals.
+//! order (use [`decode_slice`](crate::batch::decode_slice), or
+//! [`decode_tile_with_predictions`] tile by tile, when predictions
+//! matter); LER estimation only needs the totals.
 
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -107,11 +112,6 @@ const DP_BAND_MAX: usize = blossom_mwpm::DP_NODE_LIMIT;
 /// (256 shots), sized so stable rustc autovectorizes the lane loops.
 const CHUNK_WORDS: usize = 4;
 
-/// Most-recently-used screen/hard-cache contexts a [`TileScratch`]
-/// retains before evicting the coldest — bounds worker memory when a
-/// service hosts many decoding contexts.
-const MAX_SCREEN_CONTEXTS: usize = 8;
-
 /// Per-stage shot counters for the screened decode path: how many shots
 /// each stage of the hard-shot fast path absorbed.
 ///
@@ -148,8 +148,9 @@ pub struct PipelineCounters {
     /// the per-lane [`decode_tile_reference`] path; diagnostic only —
     /// excluded from the shot-partition identity.
     pub hw1_key_lookups: u64,
-    /// Distinct HW-2 `(first, second)` detector-pair keys the packed
-    /// easy tier resolved. Zero on the per-lane reference path.
+    /// HW-2 [`ScreenCache`] probes the packed easy tier made: one per
+    /// HW-2 shot, so this equals `hw2_shots`. Zero on the per-lane
+    /// reference path.
     pub hw2_key_lookups: u64,
     /// Work counters of the on-demand deep-tail staging engine
     /// (GWT-free backends only; idle on the GWT path). Diagnostic —
@@ -284,30 +285,30 @@ struct HardShot {
 /// whole tail.
 const HW_DISPATCH_BUCKETS: usize = 16;
 
-/// One warm decoding context in a [`TileScratch`]: the lazy HW ≤ 2
-/// [`ScreenCache`] and the bounded [`HardSyndromeCache`], keyed by the
-/// detector count they were built for.
+/// The warm decoding context of a [`TileScratch`]: the lazy HW ≤ 2
+/// [`ScreenCache`] and the bounded [`HardSyndromeCache`], built for one
+/// detector count.
 #[derive(Debug)]
 struct ScreenContext {
     cache: ScreenCache,
     hard_cache: HardSyndromeCache,
 }
 
-/// Reusable per-worker scratch for tile decoding: the per-detector-count
-/// [`ScreenCache`] + [`HardSyndromeCache`] contexts (kept warm in an MRU
-/// list, so a service hosting several distances does not rebuild caches
-/// on every context switch), the flat hard-shot staging arena, the
-/// closed-form batch buffers, and the per-stage [`PipelineCounters`].
+/// Reusable per-worker scratch for tile decoding: the [`ScreenCache`] +
+/// [`HardSyndromeCache`] context (rebuilt when a tile's detector count
+/// differs from the one it was built for), the flat hard-shot staging
+/// arena, the closed-form batch buffers, and the per-stage
+/// [`PipelineCounters`].
 /// (Screening itself is fused into [`decode_tile`]'s word loop and needs
 /// no buffers — see [`TileScreen`](crate::screen::TileScreen) for the
 /// standalone reference implementation.)
 ///
-/// Keep one per consumer thread; the caches warm and the counters
-/// accumulate across tiles and batches.
+/// Keep one per consumer thread and decoding context; the caches warm
+/// and the counters accumulate across tiles and batches.
 #[derive(Debug)]
 pub struct TileScratch {
-    /// Warm screen/hard-cache contexts, most recently used first.
-    contexts: Vec<ScreenContext>,
+    /// The warm screen/hard-cache context (`None` before the first tile).
+    context: Option<ScreenContext>,
     hard_cache_entries: usize,
     /// Per-lane detector lists for the chunk being extracted
     /// (`CHUNK_WORDS × 64` lanes).
@@ -351,7 +352,7 @@ impl TileScratch {
     /// predictions (0 disables it).
     pub fn with_hard_cache(entries: usize) -> TileScratch {
         TileScratch {
-            contexts: Vec::new(),
+            context: None,
             hard_cache_entries: entries,
             buckets: Vec::new(),
             hard_dets: Vec::new(),
@@ -366,16 +367,10 @@ impl TileScratch {
         }
     }
 
-    /// The warmed HW ≤ 2 prediction cache of the most recently decoded
-    /// context (`None` before the first tile).
+    /// The warmed HW ≤ 2 prediction cache (`None` before the first
+    /// tile).
     pub fn cache(&self) -> Option<&ScreenCache> {
-        self.contexts.first().map(|c| &c.cache)
-    }
-
-    /// Warm contexts currently retained (one per distinct detector
-    /// count seen, capped at an internal MRU bound).
-    pub fn num_contexts(&self) -> usize {
-        self.contexts.len()
+        self.context.as_ref().map(|c| &c.cache)
     }
 
     /// Per-stage counters accumulated over every tile this scratch
@@ -384,31 +379,20 @@ impl TileScratch {
         &self.counters
     }
 
-    /// Moves the context for `num_detectors` to the front of the MRU
-    /// list, creating it on first sight and evicting the coldest beyond
-    /// [`MAX_SCREEN_CONTEXTS`].
+    /// Builds the context for `num_detectors` unless the current one
+    /// already serves that detector count.
     fn touch_context(&mut self, num_detectors: usize) {
-        match self
-            .contexts
-            .iter()
-            .position(|c| c.cache.num_detectors() == num_detectors)
+        if self
+            .context
+            .as_ref()
+            .is_some_and(|c| c.cache.num_detectors() == num_detectors)
         {
-            Some(0) => {}
-            Some(p) => {
-                let ctx = self.contexts.remove(p);
-                self.contexts.insert(0, ctx);
-            }
-            None => {
-                self.contexts.insert(
-                    0,
-                    ScreenContext {
-                        cache: ScreenCache::new(num_detectors),
-                        hard_cache: HardSyndromeCache::new(self.hard_cache_entries, num_detectors),
-                    },
-                );
-                self.contexts.truncate(MAX_SCREEN_CONTEXTS);
-            }
+            return;
         }
+        self.context = Some(ScreenContext {
+            cache: ScreenCache::new(num_detectors),
+            hard_cache: HardSyndromeCache::new(self.hard_cache_entries, num_detectors),
+        });
     }
 }
 
@@ -425,11 +409,12 @@ impl TileScratch {
 /// loop. Trivial shots are popcounted (their failures read off a
 /// word-level observable OR) without being materialized.
 ///
-/// HW ≤ 2 shots never leave the packed domain: each distinct syndrome
-/// key is resolved once per word through the scratch's [`ScreenCache`]
-/// and applied to its whole lane mask, with failures accumulated as
-/// per-observable-bit prediction planes XORed against the packed
-/// observable rows (see the module docs). HW ≥ 3 shots are staged into
+/// HW ≤ 2 shots never leave the packed domain: each distinct HW-1 key is
+/// resolved once per word through the scratch's [`ScreenCache`] and
+/// applied to its whole lane mask, each HW-2 lane takes one cache probe
+/// after the sweep, and failures accumulate as per-observable-bit
+/// prediction planes XORed against the packed observable rows (see the
+/// module docs). HW ≥ 3 shots are staged into
 /// a flat arena and dispatched *after* the sweep in ascending
 /// Hamming-weight order: HW 3–4 as per-weight batches through
 /// [`Decoder::decode_same_weight_batch`], cacheable DP weights through
@@ -462,8 +447,8 @@ pub fn decode_tile(
 /// the decoder's own prediction (caches only replay it), so
 /// `predictions[i]` is bit-identical to what
 /// [`decode_slice`](crate::batch::decode_slice) would have produced for
-/// the same shot. Packed HW ≤ 2 tiers fan one per-key resolution out to
-/// every matching lane's slot. The aggregate accounting in `out` is
+/// the same shot. The packed HW-1 tier fans one per-key resolution out
+/// to every matching lane's slot. The aggregate accounting in `out` is
 /// unchanged from [`decode_tile`].
 ///
 /// # Panics
@@ -500,7 +485,7 @@ fn decode_tile_inner(
     }
     tile_scratch.touch_context(det.num_bits());
     let TileScratch {
-        contexts,
+        context,
         buckets,
         hard_dets,
         hard_shots,
@@ -513,7 +498,7 @@ fn decode_tile_inner(
         last_graphpd,
         ..
     } = tile_scratch;
-    let ScreenContext { cache, hard_cache } = &mut contexts[0];
+    let ScreenContext { cache, hard_cache } = context.as_mut().expect("context built above");
     buckets.resize_with(CHUNK_WORDS * 64, Vec::new);
     by_hw.resize_with(HW_DISPATCH_BUCKETS, Vec::new);
     hard_dets.clear();
@@ -696,10 +681,11 @@ fn decode_chunk(
         }
     }
 
-    // Per-word tier masks, trivial accounting, and hard-bucket reset.
+    // Per-word tier masks, trivial accounting, and lane-bucket reset.
     let mut hw1 = [0u64; CHUNK_WORDS];
     let mut hw2 = [0u64; CHUNK_WORDS];
     let mut hard = [0u64; CHUNK_WORDS];
+    let mut listed = [0u64; CHUNK_WORDS];
     let mut sweep = [0u64; CHUNK_WORDS];
     let mut need_sweep = false;
     for i in 0..len {
@@ -708,6 +694,7 @@ fn decode_chunk(
         hw1[i] = ones[i] & !twos[i] & !fours[i] & valid;
         hw2[i] = twos[i] & !ones[i] & !fours[i] & valid;
         hard[i] = nonzero & !hw1[i] & !hw2[i];
+        listed[i] = nonzero & !hw1[i];
         sweep[i] = nonzero;
         need_sweep |= nonzero != 0;
 
@@ -723,7 +710,7 @@ fn decode_chunk(
                 m &= m - 1;
             }
         }
-        let mut m = hard[i];
+        let mut m = listed[i];
         while m != 0 {
             buckets[i * 64 + m.trailing_zeros() as usize].clear();
             m &= m - 1;
@@ -733,11 +720,8 @@ fn decode_chunk(
         return;
     }
 
-    // Packed easy-tier state for the sweep: per-observable-bit
-    // prediction planes, and the first-detector memo for HW-2 lanes.
+    // Per-observable-bit prediction planes of the packed easy tier.
     let mut planes = [[0u64; 32]; CHUNK_WORDS];
-    let mut hw2_seen = [0u64; CHUNK_WORDS];
-    let mut hw2_first = [[0u32; 64]; CHUNK_WORDS];
 
     // Fused extraction + packed easy resolution: one AND sweep over the
     // detector rows, the whole chunk per row read, row slice hoisted.
@@ -751,8 +735,9 @@ fn decode_chunk(
             continue;
         }
         for (i, &bits) in row.iter().enumerate() {
-            // Hard lanes: collect this detector into their buckets.
-            let mut mh = bits & hard[i];
+            // HW-2 and hard lanes: collect this detector into their
+            // buckets.
+            let mut mh = bits & listed[i];
             while mh != 0 {
                 buckets[i * 64 + mh.trailing_zeros() as usize].push(d as u32);
                 mh &= mh - 1;
@@ -767,49 +752,30 @@ fn decode_chunk(
                 counters.hw1_shots += u64::from(m1.count_ones());
                 apply_packed_prediction(p, m1, 1, c + i, &mut planes[i], out, predictions);
             }
-
-            // HW-2 lanes: the first detector seen per lane is memoized;
-            // when the second (this `d`) arrives, lanes sharing the same
-            // first detector form one group with syndrome {first, d} —
-            // `row(first)` restricted to the finished lanes names the
-            // group, because a finished lane's bits are exactly its two
-            // detectors.
-            let m2 = bits & hw2[i];
-            if m2 != 0 {
-                let newly = m2 & !hw2_seen[i];
-                let mut t = newly;
-                while t != 0 {
-                    hw2_first[i][t.trailing_zeros() as usize] = d as u32;
-                    t &= t - 1;
-                }
-                hw2_seen[i] |= newly;
-                let mut done = m2 & !newly;
-                while done != 0 {
-                    let lane = done.trailing_zeros() as usize;
-                    let a = hw2_first[i][lane];
-                    // Group membership needs a random row(first) load;
-                    // skip it when this lane is the only candidate.
-                    let group = if done & (done - 1) == 0 {
-                        done
-                    } else {
-                        det.row(a as usize)[c + i] & done
-                    };
-                    let p = cache.pair(a, d as u32, decoder, scratch);
-                    counters.hw2_key_lookups += 1;
-                    counters.hw2_shots += u64::from(group.count_ones());
-                    apply_packed_prediction(p, group, 2, c + i, &mut planes[i], out, predictions);
-                    done &= !group;
-                }
-            }
         }
     }
 
-    // Easy-tier failure accounting, word-parallel: a lane fails iff any
-    // observable bit of its applied prediction disagrees with the packed
-    // actual row — one XOR + popcount per plane, no per-lane gather.
-    // Hard lanes then stage per-lane as before, in (word, lane) order so
-    // the hard-cache access pattern is unchanged.
+    // Per word: each HW-2 lane takes one cache probe, folded into the
+    // planes. Then easy-tier failure accounting, word-parallel: a lane
+    // fails iff any observable bit of its applied prediction disagrees
+    // with the packed actual row — one XOR + popcount per plane, no
+    // per-lane gather. Hard lanes then stage per-lane in (word, lane)
+    // order, so the hard-cache access pattern is unchanged.
     for i in 0..len {
+        let mut m = hw2[i];
+        while m != 0 {
+            let lane = m & m.wrapping_neg();
+            m &= m - 1;
+            let [a, b] = buckets[i * 64 + lane.trailing_zeros() as usize][..] else {
+                unreachable!("HW-2 lane without exactly two detectors");
+            };
+            let p = cache.pair(a, b, decoder, scratch);
+            apply_packed_prediction(p, lane, 2, c + i, &mut planes[i], out, predictions);
+        }
+        let n2 = u64::from(hw2[i].count_ones());
+        counters.hw2_key_lookups += n2;
+        counters.hw2_shots += n2;
+
         let easy = hw1[i] | hw2[i];
         if easy != 0 {
             let mut mismatch = 0u64;
@@ -912,7 +878,7 @@ pub fn decode_tile_reference(
     }
     tile_scratch.touch_context(det.num_bits());
     let TileScratch {
-        contexts,
+        context,
         buckets,
         hard_dets,
         hard_shots,
@@ -923,7 +889,7 @@ pub fn decode_tile_reference(
         last_graphpd,
         ..
     } = tile_scratch;
-    let ScreenContext { cache, hard_cache } = &mut contexts[0];
+    let ScreenContext { cache, hard_cache } = context.as_mut().expect("context built above");
     buckets.resize_with(CHUNK_WORDS * 64, Vec::new);
     by_hw.resize_with(HW_DISPATCH_BUCKETS, Vec::new);
     hard_dets.clear();
@@ -1070,9 +1036,8 @@ pub fn decode_tile_reference(
 }
 
 /// Drains `queue` through one decoder, returning the aggregate outcome —
-/// the consumer loop every streamed decode path runs (the
-/// [`BatchDecoder`](crate::BatchDecoder) pool workers and the scoped
-/// harness consumers in `astrea-experiments` alike).
+/// the consumer loop of the streamed estimators in `astrea-experiments`
+/// (direct and stratified Monte-Carlo alike).
 pub fn consume_tiles(
     decoder: &mut dyn Decoder,
     scratch: &mut DecodeScratch,
@@ -1195,13 +1160,14 @@ mod tests {
 
     #[test]
     fn packed_path_matches_per_lane_reference() {
-        // The tentpole's differential contract, checked in-crate at a
-        // rate high enough to exercise every tier: packed easy-tier
+        // The packed path's differential contract, checked in-crate at
+        // a rate high enough to exercise every tier: packed easy-tier
         // decode must reproduce the per-lane reference path's
         // predictions, outcome, and shot-partition counters exactly,
-        // with the key-lookup diagnostics bounded by the shots they
-        // dedupe. (p chosen so the mix spans trivial through the DP
-        // band — at 2e-2 the easy tiers are empty at this distance.)
+        // with HW-1 key lookups bounded by the shots they dedupe and one
+        // HW-2 probe per HW-2 shot. (p chosen so the mix spans trivial
+        // through the DP band — at 2e-2 the easy tiers are empty at this
+        // distance.)
         let ctx = ctx(5, 5e-3);
         let shots = 1800;
         let layout = TileLayout::new(shots, 4);
@@ -1250,15 +1216,14 @@ mod tests {
             "{c_packed:?}"
         );
         assert!(c_packed.hw1_key_lookups > 0 && c_packed.hw1_key_lookups <= c_packed.hw1_shots);
-        assert!(c_packed.hw2_key_lookups > 0 && c_packed.hw2_key_lookups <= c_packed.hw2_shots);
+        assert_eq!(c_packed.hw2_key_lookups, c_packed.hw2_shots);
     }
 
     #[test]
-    fn alternating_contexts_keep_caches_warm() {
-        // A worker serving two decoding contexts must not rebuild its
-        // screen/hard caches on every switch: replaying context A's
-        // tiles after an interleaved B stream must still hit A's hard
-        // cache, and the outcomes must equal the uninterleaved run.
+    fn alternating_contexts_replay_exactly() {
+        // A scratch switched between two decoding contexts rebuilds its
+        // screen/hard caches on each switch; replaying context A's tiles
+        // after an interleaved B stream must equal the first A pass.
         let ctx_a = ctx(5, 2e-2);
         let ctx_b = ctx(3, 2e-2);
         let shots = 1200;
@@ -1274,8 +1239,7 @@ mod tests {
                 let tile = sampler.sample_tile(23, &layout, t);
                 decode_tile(&mut decoder_a, &mut scratch, &mut ts, &tile, out);
             }
-            // Interleave the other context between the passes; before
-            // the per-detector-count keying this wiped A's caches.
+            // Interleave the other context between the passes.
             let mut sampler = BatchDemSampler::new(ctx_b.dem());
             let mut out_b = StreamOutcome::default();
             for t in 0..layout.num_tiles() {
@@ -1283,13 +1247,7 @@ mod tests {
                 decode_tile(&mut decoder_b, &mut scratch, &mut ts, &tile, &mut out_b);
             }
         }
-        assert_eq!(ts.num_contexts(), 2);
-        let c = ts.counters();
-        assert!(
-            c.hard_cache_hits > 0,
-            "context switch evicted the warm hard cache: {c:?}"
-        );
-        assert_eq!(passes[0], passes[1], "warm caches must replay exactly");
+        assert_eq!(passes[0], passes[1], "rebuilt caches must replay exactly");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! The service contract is *bit-identical serving*: for any client
 //! interleaving, tile size, worker count, and flush timing, each client
 //! receives exactly the predictions offline
-//! [`decode_batch`](astrea_core::BatchDecoder::decode_batch) would have
-//! produced for its stream, and the aggregate [`ServiceStats`] equal
+//! [`decode_slice`](astrea_core::decode_slice) would have produced for
+//! its stream, and the aggregate [`ServiceStats`] equal
 //! the offline totals. The serving equivalence and fault-injection
 //! suites enforce this.
 //!
@@ -109,8 +109,8 @@ mod tests {
         SyndromeBatch::from_packed(&det, &obs)
     }
 
-    /// Offline reference: the exact predictions `decode_batch` /
-    /// `decode_slice` produce for this stream.
+    /// Offline reference: the exact predictions `decode_slice` produces
+    /// for this stream.
     fn offline(ctx: &DecodingContext, stream: &SyndromeBatch) -> Vec<decoding_graph::Prediction> {
         let mut dec = MwpmDecoder::new(ctx.gwt());
         let mut scratch = DecodeScratch::new();

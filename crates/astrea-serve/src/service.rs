@@ -22,8 +22,8 @@
 //! clients share a tile, how tiles are cut, and which worker decodes
 //! them. Per-client responses are re-ordered by submission sequence
 //! number, so each client observes exactly the stream
-//! [`BatchDecoder::decode_batch`](astrea_core::BatchDecoder) would have
-//! produced for its shots alone; the aggregate [`ServiceStats`] are sums
+//! [`decode_slice`](astrea_core::decode_slice) would have produced for
+//! its shots alone; the aggregate [`ServiceStats`] are sums
 //! and maxima and equal the offline totals. The serving equivalence
 //! suite enforces both bit-for-bit.
 //!
@@ -132,8 +132,8 @@ impl Default for ServeConfig {
 pub struct ServiceStats {
     /// Latency statistics, failures, and deferrals over every decoded
     /// shot — bit-identical to offline
-    /// [`decode_batch`](astrea_core::BatchDecoder::decode_batch) totals
-    /// for the same shots.
+    /// [`decode_slice`](astrea_core::decode_slice) totals for the same
+    /// shots.
     pub outcome: StreamOutcome,
     /// Per-stage shot counters (screen, closed form, hard cache, DP,
     /// sparse blossom), summed across workers.
@@ -168,8 +168,8 @@ pub struct DecodeService {
 
 impl DecodeService {
     /// Spawns the batcher and `config.workers` decode workers, each
-    /// building its own decoder from `factory` against `ctx` (the same
-    /// factory contract as [`astrea_core::BatchDecoder`]).
+    /// building its own decoder from `factory` against `ctx` (see
+    /// [`BatchDecoderFactory`]).
     pub fn new(
         ctx: Arc<DecodingContext>,
         config: ServeConfig,

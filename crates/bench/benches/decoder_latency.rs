@@ -7,7 +7,7 @@
 //! *software* cost of each decoder on identical syndromes, which is what
 //! a simulator user experiences. Each class decodes through the shared
 //! [`decode_slice`] batch loop with a reused scratch arena, i.e. exactly
-//! the hot path `BatchDecoder` workers run.
+//! the hot path the scoped-thread harness workers run.
 
 use astrea_bench::SyndromeCorpus;
 use astrea_core::{decode_slice, AstreaDecoder, AstreaGDecoder, SyndromeBatch};

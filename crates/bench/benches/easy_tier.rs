@@ -5,8 +5,9 @@
 //! one tier — trivial (HW 0), HW-1, HW-2, or the k ∈ {3, 4} closed
 //! forms — so the ratio between the `packed` and `per_lane` series is
 //! the isolated win of keeping that tier in the packed domain: per-key
-//! cache resolution + plane-XOR failure accounting for HW ≤ 2, and
-//! same-weight batched GWT gathers for the closed forms. Both paths are
+//! cache resolution for HW-1, one cache probe per lane for HW-2,
+//! plane-XOR failure accounting for both, and same-weight batched GWT
+//! gathers for the closed forms. Both paths are
 //! bit-identical (enforced by `tests/easy_tier_equivalence.rs`); this
 //! bench only prices them.
 

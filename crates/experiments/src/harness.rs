@@ -410,11 +410,11 @@ pub fn sample_batch_scalar(
 /// `factory` plus one scratch arena per worker, and folds the outcome
 /// into a [`LerResult`].
 ///
-/// This is the borrowed-factory twin of
-/// [`astrea_core::BatchDecoder::decode_batch`]: both run the shared
-/// [`decode_slice`] loop over contiguous shot ranges, so their accounting
-/// is identical; this one allows decoders that borrow from the
-/// experiment context (at the cost of spawning threads per call).
+/// Each worker runs the shared [`decode_slice`] loop over one contiguous
+/// shot range and the outcomes merge order-independently, so the totals
+/// equal one sequential `decode_slice` pass for any thread count.
+/// Decoders may borrow from the experiment context; threads are spawned
+/// per call.
 pub fn decode_batch_ler<'a>(
     ctx: &'a ExperimentContext,
     batch: &SyndromeBatch,
@@ -492,6 +492,25 @@ pub fn estimate_ler_streamed_counted<'a>(
     factory: &DecoderFactory<'a>,
     config: PipelineConfig,
 ) -> (LerResult, PipelineCounters) {
+    run_streamed(ctx, trials, seed, factory, config, || {
+        config.source.sampler(ctx)
+    })
+}
+
+/// The streamed driver behind [`estimate_ler_streamed_counted`] and the
+/// stratified estimator: `trials` shots of the run seeded by `seed`, cut
+/// by `config` into tiles that each producer samples from its own
+/// `new_source()` and consumers decode through [`consume_tiles`].
+/// `config.source` is ignored here; the caller picks the sampler through
+/// `new_source`.
+pub(crate) fn run_streamed<'a, 's>(
+    ctx: &'a ExperimentContext,
+    trials: u64,
+    seed: u64,
+    factory: &DecoderFactory<'a>,
+    config: PipelineConfig,
+    new_source: impl Fn() -> Box<dyn PackedSyndromeSource + 's>,
+) -> (LerResult, PipelineCounters) {
     let mut result = LerResult {
         trials,
         ..LerResult::default()
@@ -508,7 +527,7 @@ pub fn estimate_ler_streamed_counted<'a>(
     let (outcome, counters) = std::thread::scope(|scope| {
         for p in 0..producers {
             let tx = tx.clone();
-            let mut source = config.source.sampler(ctx);
+            let mut source = new_source();
             scope.spawn(move || {
                 let mut t = p;
                 while t < layout.num_tiles() {

@@ -15,16 +15,10 @@
 //! syndromes generated from exactly `k` mechanisms, drawn with probability
 //! proportional to their rates).
 
-use crate::harness::{DecoderFactory, ExperimentContext};
+use crate::harness::{run_streamed, DecoderFactory, ExperimentContext, PipelineConfig};
 use astrea_core::batch::shot_seed;
-use astrea_core::pipeline::{
-    consume_tiles, tile_channel, TileQueue, TileScratch, DEFAULT_CHANNEL_DEPTH, DEFAULT_TILE_WORDS,
-};
-use decoding_graph::DecodeScratch;
-use qec_circuit::tiles::TileLayout;
-#[cfg(test)]
-use qec_circuit::ErrorMechanism;
-use qec_circuit::{BitTable, SyndromeTile};
+use qec_circuit::tiles::PackedSyndromeSource;
+use qec_circuit::{BitTable, DetectorErrorModel, ErrorMechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,14 +97,13 @@ pub fn poisson_binomial(probabilities: &[f64], max_k: usize) -> (Vec<f64>, f64) 
 /// their rates), decodes each, and combines the conditional failure rates
 /// with the exact Poisson–binomial occurrence probabilities. Each trial
 /// seeds its own RNG from its `(stratum, trial)` index, so the estimate
-/// is bit-identical for every thread count and tile split. Producer
-/// threads pack trials into [`SyndromeTile`]s (XOR-toggling mechanism
-/// symptoms into the bit-planes, so duplicate detectors cancel) and
-/// consumers screen + decode them through the same
-/// [`decode_tile`](astrea_core::pipeline::decode_tile) path as the direct
-/// Monte-Carlo estimator: word-parallel screening, GWT-direct closed
-/// forms, and the hard-syndrome cache all apply, and sampling overlaps
-/// decoding instead of a per-chunk batch barrier.
+/// is bit-identical for every thread count and tile split. Every stratum
+/// runs through the same streamed driver as the direct Monte-Carlo
+/// estimator ([`PipelineConfig::for_threads`]`(threads)`), with producers
+/// packing trials into tiles (XOR-toggling mechanism symptoms into the
+/// bit-planes, so duplicate detectors cancel): word-parallel screening,
+/// GWT-direct closed forms, and the hard-syndrome cache all apply, and
+/// sampling overlaps decoding.
 pub fn estimate_stratified<'a>(
     ctx: &'a ExperimentContext,
     max_k: usize,
@@ -120,92 +113,21 @@ pub fn estimate_stratified<'a>(
     factory: &DecoderFactory<'a>,
 ) -> StratifiedEstimate {
     let mechanisms = ctx.dem().mechanisms();
-    let num_detectors = ctx.dem().num_detectors();
-    let num_observables = ctx.dem().num_observables();
     let probs: Vec<f64> = mechanisms.iter().map(|m| m.probability).collect();
     let (occ, tail) = poisson_binomial(&probs, max_k);
-
-    // Cumulative rates for weighted sampling.
-    let mut cumulative = Vec::with_capacity(probs.len());
-    let mut acc = 0.0;
-    for &p in &probs {
-        acc += p;
-        cumulative.push(acc);
-    }
-    let total_rate = acc;
-
-    let threads = threads.max(1);
-    let strata: Vec<KStratum> = (1..=max_k)
+    let cumulative = cumulative_rates(mechanisms);
+    let config = PipelineConfig::for_threads(threads);
+    let strata = (1..=max_k)
         .map(|k| {
-            let n = trials_per_k as usize;
             let stratum_seed = seed ^ ((k as u64) << 32);
-            let layout = TileLayout::for_consumers(n, DEFAULT_TILE_WORDS, threads);
-            let producers = (threads / 4).max(1).min(layout.num_tiles().max(1));
-            let consumers = threads.min(layout.num_tiles());
-            let (tx, rx) = tile_channel(DEFAULT_CHANNEL_DEPTH);
-            let queue = TileQueue::new(rx);
-            let failures: u64 = std::thread::scope(|scope| {
-                let cumulative = &cumulative;
-                for p in 0..producers {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut chosen: Vec<usize> = Vec::with_capacity(k);
-                        let mut t = p;
-                        while t < layout.num_tiles() {
-                            let (first_word, num_shots) = layout.tile(t);
-                            let mut det = BitTable::new(num_detectors, num_shots);
-                            let mut obs = BitTable::new(num_observables, num_shots);
-                            for s in 0..num_shots {
-                                let shot = (first_word * 64 + s) as u64;
-                                let mut rng = StdRng::seed_from_u64(shot_seed(stratum_seed, shot));
-                                sample_k_mechanisms(
-                                    &mut rng,
-                                    cumulative,
-                                    total_rate,
-                                    k,
-                                    &mut chosen,
-                                );
-                                for &i in &chosen {
-                                    let m = &mechanisms[i];
-                                    for &d in &m.detectors {
-                                        det.toggle(d as usize, s);
-                                    }
-                                    for b in 0..num_observables {
-                                        if m.observables >> b & 1 == 1 {
-                                            obs.toggle(b, s);
-                                        }
-                                    }
-                                }
-                            }
-                            if tx.send(SyndromeTile::new(first_word, det, obs)).is_err() {
-                                return;
-                            }
-                            t += producers;
-                        }
-                    });
-                }
-                drop(tx);
-                let handles: Vec<_> = (0..consumers)
-                    .map(|_| {
-                        let queue = queue.clone();
-                        scope.spawn(move || {
-                            let mut decoder = factory(ctx);
-                            let mut scratch = DecodeScratch::new();
-                            let mut tile_scratch = TileScratch::new();
-                            consume_tiles(decoder.as_mut(), &mut scratch, &mut tile_scratch, &queue)
-                                .failures
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .sum()
-            });
+            let (result, _) =
+                run_streamed(ctx, trials_per_k, stratum_seed, factory, config, || {
+                    Box::new(StratumSource::new(ctx.dem(), &cumulative, k))
+                });
             KStratum {
                 k,
                 trials: trials_per_k,
-                failures,
+                failures: result.failures,
                 p_occ: occ[k],
             }
         })
@@ -214,6 +136,84 @@ pub fn estimate_stratified<'a>(
     StratifiedEstimate {
         strata,
         truncated_mass: tail,
+    }
+}
+
+/// Running sums of the mechanism rates, for weighted sampling.
+fn cumulative_rates(mechanisms: &[ErrorMechanism]) -> Vec<f64> {
+    let mut acc = 0.0;
+    mechanisms
+        .iter()
+        .map(|m| {
+            acc += m.probability;
+            acc
+        })
+        .collect()
+}
+
+/// Packs syndromes of exactly `k` triggered mechanisms into tiles: shot
+/// `i` of the run seeded by `seed` draws its mechanisms from a fresh RNG
+/// seeded with [`shot_seed`]`(seed, i)` and XOR-toggles their symptoms
+/// into the bit-planes.
+struct StratumSource<'m> {
+    dem: &'m DetectorErrorModel,
+    cumulative: &'m [f64],
+    k: usize,
+    chosen: Vec<usize>,
+}
+
+impl<'m> StratumSource<'m> {
+    fn new(dem: &'m DetectorErrorModel, cumulative: &'m [f64], k: usize) -> StratumSource<'m> {
+        StratumSource {
+            dem,
+            cumulative,
+            k,
+            chosen: Vec::with_capacity(k),
+        }
+    }
+}
+
+impl PackedSyndromeSource for StratumSource<'_> {
+    fn num_detectors(&self) -> usize {
+        self.dem.num_detectors()
+    }
+
+    fn num_observables(&self) -> usize {
+        self.dem.num_observables()
+    }
+
+    fn fill_words(
+        &mut self,
+        seed: u64,
+        first_word: usize,
+        detectors: &mut BitTable,
+        observables: &mut BitTable,
+    ) {
+        detectors.clear();
+        observables.clear();
+        let total_rate = self.cumulative.last().copied().unwrap_or(0.0);
+        for s in 0..detectors.num_shots() {
+            let shot = (first_word * 64 + s) as u64;
+            let mut rng = StdRng::seed_from_u64(shot_seed(seed, shot));
+            sample_k_mechanisms(
+                &mut rng,
+                self.cumulative,
+                total_rate,
+                self.k,
+                &mut self.chosen,
+            );
+            for &i in &self.chosen {
+                let m = &self.dem.mechanisms()[i];
+                for &d in &m.detectors {
+                    detectors.toggle(d as usize, s);
+                }
+                for b in 0..observables.num_bits() {
+                    if m.observables >> b & 1 == 1 {
+                        observables.toggle(b, s);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -240,8 +240,8 @@ fn sample_k_mechanisms(
 
 /// XORs the symptom sets of the chosen mechanisms into a sorted detector
 /// list and an observable mask — the scalar reference for the packed
-/// bit-plane toggling in [`estimate_stratified`], kept for the
-/// differential tests.
+/// bit-plane toggling in [`StratumSource`], kept for the differential
+/// tests.
 #[cfg(test)]
 fn combine(mechanisms: &[ErrorMechanism], chosen: &[usize]) -> (Vec<u32>, u32) {
     let mut dets: Vec<u32> = Vec::new();
@@ -271,6 +271,7 @@ fn combine(mechanisms: &[ErrorMechanism], chosen: &[usize]) -> (Vec<u32>, u32) {
 mod tests {
     use super::*;
     use blossom_mwpm::MwpmDecoder;
+    use decoding_graph::DecodeScratch;
 
     #[test]
     fn poisson_binomial_matches_binomial_for_uniform_probs() {
@@ -345,13 +346,8 @@ mod tests {
     fn barrier_stratum_failures(ctx: &ExperimentContext, k: usize, trials: u64, seed: u64) -> u64 {
         use astrea_core::batch::{decode_slice, SyndromeBatchBuilder};
         let mechanisms = ctx.dem().mechanisms();
-        let probs: Vec<f64> = mechanisms.iter().map(|m| m.probability).collect();
-        let mut cumulative = Vec::with_capacity(probs.len());
-        let mut acc = 0.0;
-        for &p in &probs {
-            acc += p;
-            cumulative.push(acc);
-        }
+        let cumulative = cumulative_rates(mechanisms);
+        let acc = *cumulative.last().unwrap();
         let stratum_seed = seed ^ ((k as u64) << 32);
         let mut chosen = Vec::with_capacity(k);
         let mut builder = SyndromeBatchBuilder::default();
@@ -379,6 +375,58 @@ mod tests {
         for s in &est.strata {
             let reference = barrier_stratum_failures(&ctx, s.k, 1_500, 9);
             assert_eq!(s.failures, reference, "k = {}", s.k);
+        }
+    }
+
+    #[test]
+    fn stratum_source_through_the_driver_matches_decode_slice() {
+        // The shared streamed driver fed by the k-mechanism source must
+        // account exactly like `decode_slice` over the same tiles
+        // converted to a batch: same failures, deferrals and stats.
+        use crate::harness::{LerResult, SyndromeSource};
+        use astrea_core::batch::{decode_slice, SyndromeBatch};
+        use astrea_core::pipeline::DEFAULT_HARD_CACHE_ENTRIES;
+        use qec_circuit::tiles::TileLayout;
+
+        let ctx = ExperimentContext::new(3, 2e-3);
+        let factory: Box<DecoderFactory> = Box::new(|c| Box::new(MwpmDecoder::new(c.gwt())));
+        let cumulative = cumulative_rates(ctx.dem().mechanisms());
+        let trials = 700u64;
+        for k in [1usize, 3, 6] {
+            let seed = 9 ^ ((k as u64) << 32);
+            let new_source = || StratumSource::new(ctx.dem(), &cumulative, k);
+            for (tile_words, consumers) in [(1usize, 1usize), (3, 2)] {
+                let config = PipelineConfig {
+                    tile_words,
+                    producers: 2,
+                    consumers,
+                    channel_depth: 2,
+                    source: SyndromeSource::Dem,
+                    hard_cache_entries: DEFAULT_HARD_CACHE_ENTRIES,
+                };
+                let (streamed, _) = run_streamed(&ctx, trials, seed, &*factory, config, || {
+                    Box::new(new_source())
+                });
+
+                let layout = TileLayout::for_consumers(trials as usize, tile_words, consumers);
+                let mut source = new_source();
+                let mut decoder = MwpmDecoder::new(ctx.gwt());
+                let mut scratch = DecodeScratch::new();
+                let mut reference = LerResult {
+                    trials,
+                    ..LerResult::default()
+                };
+                for t in 0..layout.num_tiles() {
+                    let tile = source.sample_tile(seed, &layout, t);
+                    let batch = SyndromeBatch::from_packed(tile.detectors(), tile.observables());
+                    let s = decode_slice(&mut decoder, &mut scratch, &batch, 0..batch.len());
+                    reference.failures += s.failures;
+                    reference.deferred += s.deferred;
+                    reference.latency.merge(&s.stats);
+                }
+                assert_eq!(reference.latency.shots, trials);
+                assert_eq!(streamed, reference, "k = {k}, tile_words = {tile_words}");
+            }
         }
     }
 

@@ -53,8 +53,8 @@ pub use union_find_decoder;
 pub mod prelude {
     pub use astrea_core::{
         decode_slice, shot_seed, AstreaConfig, AstreaDecoder, AstreaGConfig, AstreaGDecoder,
-        BatchDecoder, BatchDecoderFactory, BatchResult, CliqueDecoder, CycleModel, LatencyStats,
-        LutDecoder, SliceOutcome, SyndromeBatch, SyndromeBatchBuilder, SyndromeCompressor,
+        BatchDecoderFactory, CliqueDecoder, CycleModel, LatencyStats, LutDecoder, SliceOutcome,
+        SyndromeBatch, SyndromeBatchBuilder, SyndromeCompressor,
     };
     pub use astrea_experiments::{
         decode_batch_ler, estimate_ler, estimate_ler_barrier, estimate_ler_streamed, mwpm_factory,

@@ -3,7 +3,7 @@
 //! The serving contract: for any number of concurrent clients, any
 //! cross-client tile packing, any worker count, and any flush timing,
 //! each client's response stream equals exactly what offline
-//! `decode_batch`/`decode_slice` produce for its shots alone, and the
+//! `decode_slice` produces for its shots alone, and the
 //! aggregate service accounting (the `LerResult` fields: trials,
 //! failures, deferrals, latency statistics) equals the offline totals.
 //! These tests replay identical packed syndrome streams through both
@@ -169,14 +169,12 @@ fn concurrent_clients_match_offline_decode_batch() {
     };
     let served = serve_streams(ctx, config, &streams, 0.15, 42);
 
-    // Per-client bit-identity against the offline batch engine itself
-    // (2-thread pool), which is in turn bit-identical to decode_slice.
-    let mut pool = BatchDecoder::new(Arc::clone(ctx), 2, mwpm_factory());
+    // Per-client bit-identity against the offline per-shot loop.
     for (stream, got) in streams.iter().zip(&served) {
-        let offline = pool.decode_batch(stream);
         assert_eq!(
-            got, &offline.predictions,
-            "serving diverged from decode_batch"
+            got,
+            &offline_predictions(ctx, stream),
+            "serving diverged from decode_slice"
         );
     }
 }

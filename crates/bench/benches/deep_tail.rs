@@ -1,20 +1,22 @@
-//! Deep-tail matching latency: sparse scratch blossom vs the dense
-//! allocating oracle at Hamming weights past the DP crossover.
+//! Deep-tail matching latency: the sparse scratch blossom against the
+//! dense allocating oracle at Hamming weights past the DP crossover, and
+//! the DP↔blossom crossover itself.
 //!
-//! PR 5's claim is that the deep band's cost was dominated by per-shot
-//! staging — the `(2n+1)²` edge matrix plus ~9 vector allocations the
-//! dense solver builds for every syndrome — rather than by the
-//! primal–dual search itself. The sparse solver keeps all of that state
-//! in a persistent arena and reuses it across shots. Both solvers are
-//! fed the exact fixed-point weight closure the production decoder
-//! uses, so the ratio here is the deep-tail speedup the streamed
-//! pipeline sees per blossom-band shot.
+//! The sparse solver keeps its state in a persistent arena reused across
+//! shots and starts every solve from greedy duals and a greedy tight-edge
+//! matching; the dense oracle stages a `(2n+1)²` edge matrix per shot
+//! and starts cold. Both reach the same optimum (their mates may differ
+//! on ties). Both solvers are fed the exact fixed-point weight closure
+//! the production decoder uses, so the ratio here is the deep-tail
+//! speedup per blossom-band shot. `dp_blossom_crossover` times the subset
+//! DP and the sparse blossom on the same real d = 7 matching clusters,
+//! per cluster size, which is what places `DP_NODE_LIMIT`.
 
 use astrea_bench::SyndromeCorpus;
 use astrea_experiments::ExperimentContext;
-use blossom_mwpm::{dense_blossom, sparse_blossom, MwpmDecoder};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use decoding_graph::{DecodeScratch, Decoder, SparseBlossomScratch};
+use blossom_mwpm::{dense_blossom, sparse_blossom, subset_dp, MwpmDecoder};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use decoding_graph::{DecodeScratch, Decoder, GlobalWeightTable, SparseBlossomScratch};
 use std::hint::black_box;
 
 /// Mirrors of the decoder's private fixed-point scale and weight clamp.
@@ -81,9 +83,125 @@ fn bench_deep_decode_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// Splits `dets` into the decoder's matching clusters: connected
+/// components of "pairing is strictly cheaper than both boundaries".
+fn clusters(gwt: &GlobalWeightTable, dets: &[u32]) -> Vec<Vec<u32>> {
+    let k = dets.len();
+    let mut root: Vec<usize> = (0..k).collect();
+    fn find(root: &mut [usize], mut x: usize) -> usize {
+        while root[x] != x {
+            root[x] = root[root[x]];
+            x = root[x];
+        }
+        x
+    }
+    for i in 0..k {
+        for j in (i + 1)..k {
+            let via = gwt.boundary_weight(dets[i]) + gwt.boundary_weight(dets[j]);
+            if gwt.pair_weight(dets[i], dets[j]) < via {
+                let (a, b) = (find(&mut root, i), find(&mut root, j));
+                root[a] = b;
+            }
+        }
+    }
+    let mut out: Vec<Vec<u32>> = Vec::new();
+    let mut slot = vec![usize::MAX; k];
+    for (i, &det) in dets.iter().enumerate() {
+        let r = find(&mut root, i);
+        if slot[r] == usize::MAX {
+            slot[r] = out.len();
+            out.push(Vec::new());
+        }
+        out[slot[r]].push(det);
+    }
+    out
+}
+
+fn bench_dp_blossom_crossover(c: &mut Criterion) {
+    // Per-cluster solve time of the two exact solvers on the same real
+    // matching clusters (d = 7, p = 5×10⁻³, GWT weights), staging
+    // included: the DP as `dp` runs it (staged block, `solve_staged`),
+    // the blossom on the decoder's fixed-point reduction with a virtual
+    // boundary node for odd sizes. `DP_NODE_LIMIT` sits where they cross.
+    const PER_SIZE: usize = 32;
+    let ctx = ExperimentContext::new(7, 5e-3);
+    let gwt = ctx.gwt();
+    let corpus = SyndromeCorpus::sample(&ctx, 60_000, 7);
+    let sizes = 6usize..=16;
+    let mut by_size: Vec<Vec<Vec<u32>>> = vec![Vec::new(); *sizes.end() + 1];
+    for shot in &corpus.syndromes {
+        for cluster in clusters(gwt, shot) {
+            let c = cluster.len();
+            if sizes.contains(&c) && by_size[c].len() < PER_SIZE {
+                by_size[c].push(cluster);
+            }
+        }
+    }
+    let stage = |dets: &[u32], scratch: &mut DecodeScratch| {
+        let k = dets.len();
+        scratch.weights.clear();
+        scratch.boundary.clear();
+        for &a in dets {
+            scratch.boundary.push(gwt.boundary_weight(a));
+            for &b in dets {
+                let w = if a == b { 0.0 } else { gwt.pair_weight(a, b) };
+                scratch.weights.push(w.min(2.0 * WEIGHT_CLAMP));
+            }
+        }
+        debug_assert_eq!(scratch.weights.len(), k * k);
+    };
+    let mut group = c.benchmark_group("dp_blossom_crossover");
+    group.sample_size(20);
+    for size in sizes {
+        let corpus = &by_size[size];
+        if corpus.is_empty() {
+            continue;
+        }
+        group.throughput(Throughput::Elements(corpus.len() as u64));
+        group.bench_with_input(BenchmarkId::new("dp", size), corpus, |b, corpus| {
+            let mut scratch = DecodeScratch::new();
+            b.iter(|| {
+                let mut total = 0.0;
+                for dets in corpus {
+                    stage(dets, &mut scratch);
+                    total += subset_dp::solve_staged(dets.len(), &mut scratch);
+                }
+                black_box(total)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("blossom", size), corpus, |b, corpus| {
+            let mut scratch = DecodeScratch::new();
+            b.iter(|| {
+                let mut total = 0i64;
+                for dets in corpus {
+                    stage(dets, &mut scratch);
+                    let k = dets.len();
+                    let (w, bd) = (&scratch.weights, &scratch.boundary);
+                    let eff = |i: usize, j: usize| -> f64 {
+                        if i >= k || j >= k {
+                            bd[if i >= k { j } else { i }].min(WEIGHT_CLAMP)
+                        } else {
+                            w[i * k + j].min(bd[i] + bd[j]).min(WEIGHT_CLAMP)
+                        }
+                    };
+                    total += sparse_blossom::min_weight_perfect_matching_scratch(
+                        k + k % 2,
+                        |i, j| (eff(i, j) * BLOSSOM_SCALE).round() as i64 + 1,
+                        &mut scratch.sparse,
+                    );
+                }
+                black_box(total)
+            })
+        });
+        println!("  size {size}: {} clusters", corpus.len());
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sparse_vs_dense_solver,
-    bench_deep_decode_paths
+    bench_deep_decode_paths,
+    bench_dp_blossom_crossover
 );
 criterion_main!(benches);

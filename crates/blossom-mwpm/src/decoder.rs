@@ -21,17 +21,19 @@ use std::cell::RefCell;
 
 /// Above this many active detectors in one matching cluster the decoder
 /// switches from the subset DP to the blossom algorithm: the DP's time
-/// and memory are `O(2^k)`, and measured on real d = 7 syndromes the
-/// `O(k³)` blossom solver overtakes it near k = 12.
+/// and memory are `O(2^k)`. Measured per cluster on real d = 7,
+/// p = 5×10⁻³ matching clusters (`deep_tail` bench,
+/// `dp_blossom_crossover`), the DP is ahead up to 11 detectors and the
+/// greedy-started `O(k³)` blossom solver from 12 on.
 pub const DP_NODE_LIMIT: usize = 11;
 
 /// Fixed-point sub-units per weight unit when converting `f64` weights to
 /// the blossom solver's `i64` domain.
-const BLOSSOM_SCALE: f64 = 65_536.0;
+pub(crate) const BLOSSOM_SCALE: f64 = 65_536.0;
 
 /// Weights above this (in `−log₁₀ P` units) are clamped before integer
 /// conversion; far beyond any realistic matching weight.
-const WEIGHT_CLAMP: f64 = 1e4;
+pub(crate) const WEIGHT_CLAMP: f64 = 1e4;
 
 /// Index of pair `(i, j)` (`i < j < k`) in the triangular pair order
 /// `(0,1), (0,2), …` used by the small-gather helpers.

@@ -12,16 +12,21 @@
 //!   used up to [`DP_NODE_LIMIT`] detectors per cluster;
 //! * [`sparse_blossom`] — an `O(n³)` primal–dual blossom algorithm (the
 //!   same algorithmic family as BlossomV) on a virtual adjacency with a
-//!   persistent scratch arena, for the deep tail. Minimum-weight
-//!   *perfect* matching comes from the standard weight reflection, and
-//!   boundary matching from the reduction `w'ᵢⱼ = min(wᵢⱼ, bᵢ + bⱼ)` plus
-//!   one virtual boundary node when the syndrome weight is odd.
+//!   persistent scratch arena, for the deep tail. It starts each solve
+//!   from greedy duals and a greedy tight-edge matching, as Blossom V
+//!   does. Minimum-weight *perfect* matching comes from the standard
+//!   weight reflection (staged doubled), and boundary matching from the
+//!   reduction `w'ᵢⱼ = min(wᵢⱼ, bᵢ + bⱼ)` plus one virtual boundary node
+//!   when the syndrome weight is odd.
 //!
 //! A fourth, [`dense_blossom`], is the oracle: the same primal–dual
-//! algorithm over a fully materialized weight matrix. The decoder never
-//! calls it; tests and property tests check that the sparse solver's
-//! mate assignment is bit-identical to it and that the decoder's optima
-//! equal it, which is the crate's correctness argument.
+//! algorithm, cold-started, over a fully materialized weight matrix. The
+//! decoder never calls it. The crate's correctness argument is that the
+//! sparse solver's total weight equals it exactly on every tested
+//! instance, that every such sparse solve carries a dual certificate of
+//! optimality (checked by the tests), and that the decoder's optima equal
+//! it. The sparse solver starts from a greedy state, so its mates may
+//! differ from the oracle's where matchings tie.
 //!
 //! [`MwpmDecoder`] wraps the production solvers behind the
 //! [`Decoder`](decoding_graph::Decoder) trait, using the unquantized

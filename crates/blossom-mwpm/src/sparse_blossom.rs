@@ -3,13 +3,19 @@
 //! Same primal–dual algorithm as [`crate::dense_blossom`] (defect-rooted
 //! alternating-tree growth under a global tree-growth schedule, dual
 //! updates restricted to the explored forest, blossom shrink/expand via
-//! the surface/parent-pointer forest), but with the per-shot staging cost
-//! removed:
+//! the surface/parent-pointer forest), but warm-started per solve and
+//! with the per-shot staging cost removed:
 //!
+//! * each solve starts from a greedy state, as Blossom V does: vertex
+//!   duals are lowered from their row maxima until every vertex has a
+//!   tight edge, and the tight edges are matched greedily. The phases
+//!   that remain only augment from the vertices the greedy pass left
+//!   exposed. The weights are staged doubled, so every dual stays even
+//!   and every `delta / 2` exact, and the solver targets maximum-weight
+//!   *perfect* matching: exposed duals may go negative,
 //! * the dense path allocates and fills a `(2n+1)²` edge matrix per shot;
 //!   here the original-pair block is **virtual** — endpoints are implicit
-//!   and only the reflected `(n+1)²` weight block is staged (those values
-//!   are needed anyway for the dual upper bound),
+//!   and only the doubled reflected `(n+1)²` weight block is staged,
 //! * representative edges for contracted blossoms live in tables holding
 //!   one `(2n+1)`-wide row per blossom id the solve has formed; a row is
 //!   added only when a new id is first used (rare on decoding-graph
@@ -25,16 +31,17 @@
 //! the first member's representative edge on creation). Stale contents
 //! from previous shots therefore never influence the result, which keeps
 //! each solve a pure function of its inputs — required by the pipeline's
-//! streamed == barrier bit-identity contract. For the same reason dual
-//! *values* are never warm-started across shots, only allocations and the
-//! `vis` epoch carry over.
+//! streamed == barrier bit-identity contract. For the same reason the
+//! greedy start reads only the current shot's weights: dual *values* are
+//! never carried across shots, only allocations and the `vis` epoch.
 //!
-//! The solver is a faithful port: identical initial duals, scan orders,
-//! slack tie-breaks, and blossom id allocation. Its mate assignment is
-//! **bit-identical** to the dense solver's on every instance (asserted by
-//! this module's tests and the cross-solver property tests), which is what
-//! lets the streaming pipeline adopt it while keeping `dense_blossom` as
-//! the differential oracle and `LerResult` unchanged.
+//! The result is an exact optimum: its total weight equals the dense
+//! solver's on every instance. The mate assignment may differ from the
+//! cold-start dense solver's where several matchings tie. What the tests
+//! check instead is a per-solve proof: the final arena (duals, mates,
+//! blossom family) is a dual certificate of optimality, verified on every
+//! solve of this module's tests and of the cross-solver property tests,
+//! with `dense_blossom` kept as the optimum oracle.
 
 use decoding_graph::{RepEdge, SparseBlossomScratch};
 
@@ -458,14 +465,13 @@ impl SparseSolver<'_> {
                     }
                 }
             }
+            // An even complete graph always has an augmenting path, so
+            // an exposed tree always has a bounding edge. Exposed duals
+            // may go negative: the target is a perfect matching.
+            debug_assert!(d < INF, "no edge bounds the dual adjustment");
             for u in 1..=self.n {
                 match self.sc.s[self.sc.st[u]] {
-                    0 => {
-                        if self.sc.lab[u] <= d {
-                            return false; // Duals exhausted: no augmenting path.
-                        }
-                        self.sc.lab[u] -= d;
-                    }
+                    0 => self.sc.lab[u] -= d,
                     1 => self.sc.lab[u] += d,
                     _ => {}
                 }
@@ -500,15 +506,55 @@ impl SparseSolver<'_> {
     }
 }
 
+/// Greedy start on the staged block: each dual begins at its row maximum
+/// (feasible: `lab[u] + lab[v] ≥ 2w'`), then drops in index order to the
+/// least feasible value, so every vertex ends with a tight edge; the
+/// tight edges are then matched greedily in index order. Staged weights
+/// are even, hence so is every dual, which keeps every later `delta / 2`
+/// exact. Exposed vertices may keep unequal duals.
+fn greedy_start(n: usize, sc: &mut SparseBlossomScratch) {
+    let wn = n + 1;
+    for u in 1..=n {
+        let row = &sc.weights[u * wn + 1..u * wn + wn];
+        sc.lab[u] = row.iter().copied().max().unwrap_or(0);
+        sc.st[u] = u;
+        sc.mate[u] = 0;
+    }
+    for u in 1..=n {
+        let base = u * wn;
+        let mut lab_u = i64::MIN;
+        for v in (1..=n).filter(|&v| v != u) {
+            lab_u = lab_u.max(2 * sc.weights[base + v] - sc.lab[v]);
+        }
+        sc.lab[u] = lab_u;
+    }
+    for u in 1..=n {
+        if sc.mate[u] != 0 {
+            continue;
+        }
+        let base = u * wn;
+        for v in (u + 1)..=n {
+            if sc.mate[v] == 0 && sc.lab[u] + sc.lab[v] == 2 * sc.weights[base + v] {
+                sc.mate[u] = v;
+                sc.mate[v] = u;
+                break;
+            }
+        }
+    }
+}
+
 /// Computes a **minimum-weight perfect matching** on the complete graph
 /// over an even number of vertices, reusing `scratch` across calls.
 ///
 /// The mate assignment is left in `scratch.mate[1..=n]` (1-based, `0`
 /// never occurs on success); the returned value is the total weight of
-/// the matching under the original `weights`. The result is a pure
-/// function of `(n, weights)` — bit-identical to
-/// [`crate::dense_blossom::min_weight_perfect_matching`] on every
-/// instance — regardless of what the arena held before the call.
+/// the matching under the original `weights`, equal to
+/// [`crate::dense_blossom::min_weight_perfect_matching`]'s on every
+/// instance. The final duals, the blossom family (`flower`, `st`, with
+/// `scratch.blossom_ids` ids in use) and the doubled reflected weights
+/// stay in the arena and certify the optimum. The result is a pure
+/// function of `(n, weights)` regardless of what the arena held before
+/// the call; on ties the mates may differ from the dense solver's.
 ///
 /// # Panics
 ///
@@ -540,16 +586,14 @@ pub fn min_weight_perfect_matching_scratch(
             w_max_orig = w_max_orig.max(w);
         }
     }
-    // Reflect in place: w' = W − w + 1 > 0, so minimum-weight perfect
-    // matching becomes maximum-weight matching (always perfect on a
-    // complete positive-weight graph).
-    let mut lab0 = 0i64;
+    // Reflect in place, doubled: w' = 2·(W − w + 1) > 0 turns
+    // minimum-weight perfect matching into maximum-weight perfect
+    // matching, and keeps every staged weight even.
     for u in 1..=n {
         for v in (u + 1)..=n {
-            let r = w_max_orig - scratch.weights[u * wn + v] + 1;
+            let r = 2 * (w_max_orig - scratch.weights[u * wn + v] + 1);
             scratch.weights[u * wn + v] = r;
             scratch.weights[v * wn + u] = r;
-            lab0 = lab0.max(r);
         }
     }
     // Re-stamp the per-solve state; blossom-indexed slots keep stale
@@ -571,11 +615,7 @@ pub fn min_weight_perfect_matching_scratch(
     scratch.lab[0] = 0;
     scratch.st[0] = 0;
     scratch.mate[0] = 0;
-    for u in 1..=n {
-        scratch.lab[u] = lab0;
-        scratch.st[u] = u;
-        scratch.mate[u] = 0;
-    }
+    greedy_start(n, scratch);
     // Blossom rows (`rep_row`, `rep_col`, `flower_from`) are grown by
     // `add_blossom` as ids are first used, never up front.
     while scratch.flower.len() < stride {
@@ -591,6 +631,7 @@ pub fn min_weight_perfect_matching_scratch(
         sc: scratch,
     };
     while solver.matching_phase() {}
+    solver.sc.blossom_ids = solver.n_x - n;
 
     let mut total = 0i64;
     for u in 1..=n {
@@ -624,15 +665,25 @@ pub fn min_weight_perfect_matching(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/certificate.rs"]
+mod certificate;
+
+#[cfg(test)]
 mod tests {
+    use super::certificate::check_certificate;
     use super::*;
+    use crate::decoder::{BLOSSOM_SCALE, WEIGHT_CLAMP};
     use crate::dense_blossom;
 
     #[test]
     fn two_vertices() {
-        let (mate, w) = min_weight_perfect_matching(2, |_, _| 7);
-        assert_eq!(mate, vec![1, 0]);
-        assert_eq!(w, 7);
+        let mut scratch = SparseBlossomScratch::new();
+        assert_eq!(
+            min_weight_perfect_matching_scratch(2, |_, _| 7, &mut scratch),
+            7
+        );
+        assert_eq!(scratch.mate[1..=2], [2, 1]);
+        check_certificate(2, &scratch).unwrap();
     }
 
     #[test]
@@ -661,31 +712,41 @@ mod tests {
                 _ => 50,
             }
         };
-        let (mate, total) = min_weight_perfect_matching(6, w);
+        let mut scratch = SparseBlossomScratch::new();
+        assert_optimal_and_certified(6, w, &mut scratch, "forced blossom");
+        // The optimum (7) is unique here, so the mates are the dense ones.
         let (dense_mate, dense_total) = dense_blossom::min_weight_perfect_matching(6, w);
-        assert_eq!(total, 7);
-        assert_eq!(total, dense_total);
+        assert_eq!(dense_total, 7);
+        let mate: Vec<usize> = (1..=6).map(|u| scratch.mate[u] - 1).collect();
         assert_eq!(mate, dense_mate);
     }
 
-    /// Solves `(n, w)` on `scratch` and asserts the total and every mate
-    /// match the dense oracle.
-    fn assert_matches_dense(
+    /// Solves `(n, w)` on `scratch` and asserts the solve is optimal and
+    /// proven: the total equals the dense oracle's exactly, the solve-half
+    /// certificate holds (its first check: the mate is a perfect
+    /// involution), and a fresh arena gives bit-identical mates (each
+    /// solve is a pure function of its inputs, which the streamed ==
+    /// barrier contract relies on). Mates may differ from the dense
+    /// oracle's on ties.
+    fn assert_optimal_and_certified(
         n: usize,
         w: impl Fn(usize, usize) -> i64 + Copy,
         scratch: &mut SparseBlossomScratch,
         label: &str,
     ) {
         let total = min_weight_perfect_matching_scratch(n, w, scratch);
-        let (dense_mate, dense_total) = dense_blossom::min_weight_perfect_matching(n, w);
+        let (_, dense_total) = dense_blossom::min_weight_perfect_matching(n, w);
         assert_eq!(total, dense_total, "total diverged at {label}");
-        for (u, &dm) in dense_mate.iter().enumerate() {
-            assert_eq!(
-                scratch.mate[u + 1] - 1,
-                dm,
-                "mate diverged at {label} vertex {u}"
-            );
+        if let Err(e) = check_certificate(n, scratch) {
+            panic!("certificate failed at {label}: {e}");
         }
+        let mut fresh = SparseBlossomScratch::new();
+        assert_eq!(min_weight_perfect_matching_scratch(n, w, &mut fresh), total);
+        assert_eq!(
+            fresh.mate[1..=n],
+            scratch.mate[1..=n],
+            "reused arena diverged from a fresh one at {label}"
+        );
     }
 
     /// Weights in 1..=8: low spread → many tight edges, frequent blossoms.
@@ -701,10 +762,20 @@ mod tests {
         }
     }
 
-    /// The core contract: bit-identical mate assignment to the dense
-    /// solver on pseudo-random complete graphs, with ONE arena reused
-    /// across every instance and the vertex count varying between calls
-    /// (stressing the stale-slot and resize paths).
+    /// Wide-range hashed weights in `1..=1_000_000`: ties are rare, so a
+    /// perturbed matching is suboptimal and its certificate must fail.
+    fn wide(seed: u64) -> impl Fn(usize, usize) -> i64 + Copy {
+        move |u: usize, v: usize| {
+            let (u, v) = (u.min(v) as u64, u.max(v) as u64);
+            let h = (u << 32 | v) ^ seed.wrapping_mul(0x9e3779b97f4a7c15);
+            (h.wrapping_mul(0x2545f4914f6cdd1d) >> 40) as i64 % 1_000_000 + 1
+        }
+    }
+
+    /// The reuse contract: optimal, certified solves that are a pure
+    /// function of their inputs on pseudo-random complete graphs, with
+    /// ONE arena reused across every instance and the vertex count
+    /// varying between calls (stressing the stale-slot and resize paths).
     #[test]
     fn mate_identical_to_dense_with_reused_scratch() {
         let mut scratch = SparseBlossomScratch::new();
@@ -720,7 +791,7 @@ mod tests {
                             % 251
                             + 1
                     };
-                    assert_matches_dense(n, w, &mut scratch, &format!("n={n} seed={seed}"));
+                    assert_optimal_and_certified(n, w, &mut scratch, &format!("n={n} seed={seed}"));
                 }
             }
         }
@@ -729,15 +800,16 @@ mod tests {
         // Blossom rows are only grown for ids a solve forms: solves
         // without a blossom leave the tables untouched.
         let mut fresh = SparseBlossomScratch::new();
-        assert_matches_dense(2, |_, _| 7, &mut fresh, "blossom-free n=2");
+        assert_optimal_and_certified(2, |_, _| 7, &mut fresh, "blossom-free n=2");
         let pairs = |u: usize, v: usize| match (u.min(v), u.max(v)) {
             (0, 1) | (2, 3) => 1,
             _ => 10,
         };
-        assert_matches_dense(4, pairs, &mut fresh, "blossom-free n=4");
+        assert_optimal_and_certified(4, pairs, &mut fresh, "blossom-free n=4");
         assert!(fresh.rep_row.is_empty());
         assert!(fresh.rep_col.is_empty());
         assert!(fresh.flower_from.is_empty());
+        assert_eq!(fresh.blossom_ids, 0);
 
         // Large n with many blossoms, then a small n, then large again:
         // rows left by a wider stride never leak into a later solve.
@@ -745,7 +817,7 @@ mod tests {
         for (i, &n) in [40usize, 6, 40, 10, 32].iter().enumerate() {
             for seed in 0..6u64 {
                 let seed = seed + 1000 * i as u64;
-                assert_matches_dense(
+                assert_optimal_and_certified(
                     n,
                     low_spread(seed),
                     &mut reused,
@@ -760,17 +832,147 @@ mod tests {
     }
 
     /// Low-spread weights force many tight edges and frequent blossoms;
-    /// the rep-table and expand paths must still track dense exactly.
+    /// the rep-table and expand paths must still reach the optimum with a
+    /// valid certificate.
     #[test]
     fn blossom_heavy_instances_match_dense() {
         let mut scratch = SparseBlossomScratch::new();
+        let mut blossoms = 0;
         for &n in &[6usize, 8, 10, 12, 14, 16, 18, 24] {
             for seed in 0..20u64 {
-                assert_matches_dense(
+                assert_optimal_and_certified(
                     n,
                     low_spread(seed),
                     &mut scratch,
                     &format!("n={n} seed={seed}"),
+                );
+                blossoms += scratch.blossom_ids;
+            }
+        }
+        assert!(blossoms > 0, "no instance formed a blossom");
+    }
+
+    /// The greedy start can leave exposed vertices with unequal duals.
+    /// Here vertices 5 and 6 stay exposed with duals 18 and 14; the
+    /// max-weight-matching exit (`lab[u] <= d`) stopped this solve with
+    /// both unmatched.
+    #[test]
+    fn unequal_exposed_duals_still_reach_a_perfect_matching() {
+        const W: [[i64; 6]; 6] = [
+            [0, 8, 9, 1, 2, 3],
+            [8, 0, 7, 9, 1, 2],
+            [9, 7, 0, 7, 8, 9],
+            [1, 9, 7, 0, 7, 8],
+            [2, 1, 8, 7, 0, 4],
+            [3, 2, 9, 8, 4, 0],
+        ];
+        let w = |u: usize, v: usize| W[u][v];
+        let mut scratch = SparseBlossomScratch::new();
+        assert_optimal_and_certified(6, w, &mut scratch, "unequal exposed duals");
+
+        // Re-run the greedy start alone on the staged block.
+        greedy_start(6, &mut scratch);
+        let exposed: Vec<usize> = (1..=6).filter(|&u| scratch.mate[u] == 0).collect();
+        assert_eq!(exposed, [5, 6]);
+        assert_eq!((scratch.lab[5], scratch.lab[6]), (18, 14));
+    }
+
+    /// All-equal weights: every pair is tight from the start and the
+    /// greedy pass alone is a perfect matching.
+    #[test]
+    fn all_equal_weights() {
+        let mut scratch = SparseBlossomScratch::new();
+        for &n in &[2usize, 4, 10, 16, 30] {
+            assert_optimal_and_certified(n, |_, _| 5, &mut scratch, &format!("n={n}"));
+            assert_eq!(scratch.blossom_ids, 0);
+            let mates: Vec<usize> = scratch.mate[1..=n].to_vec();
+            let greedy: Vec<usize> = (1..=n)
+                .map(|u| if u % 2 == 1 { u + 1 } else { u - 1 })
+                .collect();
+            assert_eq!(mates, greedy, "n={n}");
+        }
+    }
+
+    /// Odd syndrome weights: the decoder's boundary reduction
+    /// `min(w_ij, b_i + b_j)` plus one virtual boundary node, in the
+    /// decoder's fixed point.
+    #[test]
+    fn odd_k_with_virtual_boundary_node() {
+        let mut scratch = SparseBlossomScratch::new();
+        for &k in &[1usize, 3, 5, 11, 13, 21] {
+            for seed in 0..10u64 {
+                let pair = wide(seed);
+                let bound = move |i: usize| pair(i, i + 1_000) / 2;
+                let n = k + 1;
+                let w = move |i: usize, j: usize| -> i64 {
+                    let eff = if i >= k || j >= k {
+                        bound(if i >= k { j } else { i })
+                    } else {
+                        pair(i, j).min(bound(i) + bound(j))
+                    };
+                    eff + 1
+                };
+                assert_optimal_and_certified(n, w, &mut scratch, &format!("k={k} seed={seed}"));
+            }
+        }
+    }
+
+    /// Weights at the decoder's ceiling `WEIGHT_CLAMP · BLOSSOM_SCALE + 1`
+    /// mixed with unit weights: the doubled reflection and every dual
+    /// stay far inside `i64` (debug builds check every operation).
+    #[test]
+    fn clamp_scale_weights_do_not_overflow() {
+        let top = (WEIGHT_CLAMP * BLOSSOM_SCALE).round() as i64 + 1;
+        let mut scratch = SparseBlossomScratch::new();
+        for &n in &[2usize, 6, 12, 24, 40] {
+            for seed in 0..8u64 {
+                let spread = wide(seed);
+                let w = move |u: usize, v: usize| match spread(u, v) % 3 {
+                    0 => top,
+                    1 => 1,
+                    _ => spread(u, v) * (top / 1_000_000),
+                };
+                assert_optimal_and_certified(n, w, &mut scratch, &format!("n={n} seed={seed}"));
+            }
+            assert_optimal_and_certified(n, |_, _| top, &mut scratch, &format!("n={n} all top"));
+        }
+    }
+
+    /// Mutation check of the certificate itself: lowering one matched
+    /// pair's reflected weight by one granule, or swapping two mates,
+    /// must be rejected.
+    #[test]
+    fn certificate_rejects_mutations() {
+        for &n in &[4usize, 8, 12, 20, 32] {
+            for seed in 0..10u64 {
+                let mut scratch = SparseBlossomScratch::new();
+                min_weight_perfect_matching_scratch(n, wide(seed), &mut scratch);
+                check_certificate(n, &scratch).unwrap();
+                let wn = n + 1;
+
+                // One granule of the original weight is 2 once doubled.
+                for delta in [-2, 2] {
+                    let mut bad = scratch.clone();
+                    let (u, v) = (1, bad.mate[1]);
+                    bad.weights[u * wn + v] += delta;
+                    bad.weights[v * wn + u] += delta;
+                    assert!(
+                        check_certificate(n, &bad).is_err(),
+                        "weight mutation {delta} accepted at n={n} seed={seed}"
+                    );
+                }
+
+                let mut bad = scratch.clone();
+                let (a, b) = (1, bad.mate[1]);
+                let c = (1..=n).find(|&x| x != a && x != b).unwrap();
+                let d = bad.mate[c];
+                bad.mate[a] = c;
+                bad.mate[c] = a;
+                bad.mate[b] = d;
+                bad.mate[d] = b;
+                assert!(
+                    check_certificate(n, &bad).is_err(),
+                    "mate swap accepted at n={n} seed={seed}"
                 );
             }
         }

@@ -1,6 +1,10 @@
 //! Property tests: the blossom algorithm against the independent subset-DP
-//! solver, the sparse scratch solver against the dense oracle on real
-//! decoding-graph syndromes, and structural invariants of the MWPM decoder.
+//! solver, the sparse scratch solver against the dense oracle's optimum
+//! and its own solve-half certificate on real decoding-graph syndromes,
+//! and structural invariants of the MWPM decoder.
+
+#[path = "support/certificate.rs"]
+mod certificate;
 
 use blossom_mwpm::{dense_blossom, sparse_blossom, subset_dp, MwpmDecoder};
 use decoding_graph::{DecodingContext, MatchingGraph, SparseBlossomScratch};
@@ -152,7 +156,7 @@ proptest! {
 thread_local! {
     /// One scratch arena reused across every proptest case below —
     /// exactly the per-worker reuse pattern of the streamed pipeline, so
-    /// the equality checks also cover cross-solve state carried in the
+    /// the fresh-arena comparison covers cross-solve state carried in the
     /// arena (stale blossom rows, vis epochs, grown allocations).
     static SCRATCH: RefCell<SparseBlossomScratch> = RefCell::new(SparseBlossomScratch::new());
 }
@@ -160,11 +164,14 @@ thread_local! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The sparse scratch solver reproduces the dense oracle's matching
-    /// — identical total weight *and* identical mate assignment — on
-    /// random decoding-graph syndromes across d ∈ {3, 5, 7, 9}, Hamming
-    /// weights up to 24, for exact and quantized weights, through one
-    /// reused scratch arena.
+    /// The sparse scratch solver reaches the dense oracle's optimum
+    /// exactly and proves it, on random decoding-graph syndromes across
+    /// d ∈ {3, 5, 7, 9}, Hamming weights up to 24, for exact and
+    /// quantized weights, through one reused scratch arena: identical
+    /// integer total, a valid solve-half certificate (which first checks
+    /// that the mate is a perfect involution), and mates bit-identical to
+    /// a fresh arena's. Mates may
+    /// differ from the dense oracle's on ties.
     #[test]
     fn sparse_matches_dense_on_decoding_graph_syndromes(
         ctx_idx in 0usize..4,
@@ -210,18 +217,32 @@ proptest! {
             (eff * BLOSSOM_SCALE).round() as i64 + 1
         };
 
-        let (dense_mate, dense_total) = dense_blossom::min_weight_perfect_matching(n, wi);
-        let (sparse_total, sparse_mate) = SCRATCH.with(|s| {
+        let (_, dense_total) = dense_blossom::min_weight_perfect_matching(n, wi);
+        let (sparse_total, sparse_mate, certified, mutant_rejected) = SCRATCH.with(|s| {
             let mut scratch = s.borrow_mut();
             let total = sparse_blossom::min_weight_perfect_matching_scratch(n, wi, &mut scratch);
-            // 1-based in the arena; shift to the dense convention.
-            let mate: Vec<usize> = (1..=n).map(|u| scratch.mate[u] - 1).collect();
-            (total, mate)
+            let mate = scratch.mate[1..=n].to_vec();
+            let certified = certificate::check_certificate(n, &scratch);
+            // Mutation check: one granule (2 once doubled) off one
+            // matched pair's staged weight must break the certificate.
+            let mut bad = scratch.clone();
+            let (u, v, wn) = (1, bad.mate[1], n + 1);
+            bad.weights[u * wn + v] -= 2;
+            bad.weights[v * wn + u] -= 2;
+            (total, mate, certified, certificate::check_certificate(n, &bad).is_err())
         });
         prop_assert_eq!(dense_total, sparse_total,
             "total weight diverged on {:?} (quantized: {})", &dets, quantized);
-        prop_assert_eq!(&dense_mate, &sparse_mate,
-            "mate assignment diverged on {:?} (quantized: {})", &dets, quantized);
+        prop_assert!(certified.is_ok(),
+            "certificate failed on {:?} (quantized: {}): {:?}", &dets, quantized, certified);
+        prop_assert!(mutant_rejected, "a mutated weight kept the certificate on {:?}", &dets);
+        let mut fresh = SparseBlossomScratch::new();
+        prop_assert_eq!(
+            sparse_blossom::min_weight_perfect_matching_scratch(n, wi, &mut fresh),
+            sparse_total
+        );
+        prop_assert_eq!(&fresh.mate[1..=n], &sparse_mate[..],
+            "reused arena diverged from a fresh one on {:?}", &dets);
     }
 }
 

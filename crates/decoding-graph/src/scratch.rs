@@ -22,15 +22,15 @@ use std::collections::VecDeque;
 ///
 /// `u` and `v` are the **original** (pre-contraction, 1-based) endpoints
 /// of the edge the row entry represents; `w == 0` marks "no edge staged"
-/// (original-pair weights are strictly positive after reflection, so the
-/// zero is unambiguous).
+/// (original-pair weights are strictly positive after the doubled
+/// reflection, so the zero is unambiguous).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepEdge {
     /// Original 1-based endpoint on the row side.
     pub u: usize,
     /// Original 1-based endpoint on the column side.
     pub v: usize,
-    /// Reflected integer edge weight; `0` means absent.
+    /// Doubled reflected integer edge weight; `0` means absent.
     pub w: i64,
 }
 
@@ -38,8 +38,8 @@ pub struct RepEdge {
 /// solver (`blossom_mwpm::sparse_blossom`).
 ///
 /// The dense formulation stages a `(2n+1)²` edge matrix per shot; this
-/// arena instead keeps only the `(n+1)²` reflected weight block (needed
-/// anyway for the dual bound) plus **blossom-row tables** with one row
+/// arena instead keeps only the `(n+1)²` doubled reflected weight block
+/// (read anyway by the greedy start) plus **blossom-row tables** with one row
 /// per blossom id a solve has formed, added only when a new id is first
 /// used. Buffers grow monotonically and are re-stamped per solve, so
 /// consecutive hard shots in a tile reuse every allocation: steady-state
@@ -49,13 +49,17 @@ pub struct RepEdge {
 /// the solver's invariant is that every blossom-indexed slot is written
 /// before it is read within a solve, which is what makes the reuse safe
 /// *and* keeps the result a pure function of the current shot (required
-/// by the pipeline's streamed == barrier bit-identity contract; dual
-/// values are therefore never warm-started across shots, only the
-/// allocations and the `vis` stamping epoch carry over).
+/// by the pipeline's streamed == barrier bit-identity contract; the
+/// greedy start reads only the current shot, so dual values never carry
+/// across shots, only the allocations and the `vis` stamping epoch do).
+///
+/// After a solve, `weights`, `lab`, `mate`, `st`, `flower` and
+/// `blossom_ids` together hold the dual certificate of its optimum.
 #[derive(Debug, Clone, Default)]
 pub struct SparseBlossomScratch {
-    /// Reflected pair weights, `(n+1)²` flat, 1-based rows/columns
-    /// (row 0 / column 0 are the "no vertex" sentinel; `weights[0] == 0`).
+    /// Doubled reflected pair weights `2·(W − w + 1)`, `(n+1)²` flat,
+    /// 1-based rows/columns (row 0 / column 0 are the "no vertex"
+    /// sentinel; `weights[0] == 0`).
     pub weights: Vec<i64>,
     /// Dual variables (`lab`), indexed by vertex/blossom id up to `2n`.
     pub lab: Vec<i64>,
@@ -88,6 +92,9 @@ pub struct SparseBlossomScratch {
     pub flower: Vec<Vec<usize>>,
     /// BFS queue over tree growth.
     pub queue: VecDeque<usize>,
+    /// Blossom ids the last solve used: ids `n+1..=n+blossom_ids` hold
+    /// its blossoms (live ones have `st[b] != 0`), later ids are stale.
+    pub blossom_ids: usize,
     /// Number of solves served by this arena (reuse telemetry).
     pub solves: u64,
 }
@@ -116,6 +123,7 @@ impl SparseBlossomScratch {
             f.clear();
         }
         self.queue.clear();
+        self.blossom_ids = 0;
         self.solves = 0;
     }
 }

@@ -4,27 +4,26 @@
 //! once (the deep engine on the GWT-free backend past the DP band, the
 //! full sweep below it, nothing on the table), then solved by the
 //! register-only closed form (k ≤ 4), the staged subset DP
-//! (k ≤ [`DP_NODE_LIMIT`]), or the cluster split with each cluster
-//! solved by closed form, DP or [`sparse_blossom`]. The matching is
-//! reported through one fold: the observable mask for
-//! `decode_with_scratch`, the whole [`MatchingSolution`] for
-//! [`MwpmDecoder::decode_full`].
+//! (k ≤ [`DP_NODE_LIMIT`]), or one whole-shot [`sparse_blossom`] solve,
+//! priced and repaired on a graph-pd block. The matching is reported
+//! through one fold: the observable mask for `decode_with_scratch`, the
+//! whole [`MatchingSolution`] for [`MwpmDecoder::decode_full`].
 
 use crate::ondemand::DeepBackend;
 use crate::solution::MatchingSolution;
 use crate::{sparse_blossom, subset_dp};
 use decoding_graph::{
-    BoundaryTable, DecodeScratch, Decoder, DecodingContext, GlobalWeightTable, LocalWeightProvider,
-    LocalWeightStats, MatchingGraph, Prediction, WeightSource,
+    quantize, BoundaryTable, DecodeScratch, Decoder, DecodingContext, GlobalWeightTable,
+    LocalWeightProvider, LocalWeightStats, MatchingGraph, Prediction, WeightSource,
 };
 use std::cell::RefCell;
 
-/// Above this many active detectors in one matching cluster the decoder
-/// switches from the subset DP to the blossom algorithm: the DP's time
-/// and memory are `O(2^k)`. Measured per cluster on real d = 7,
-/// p = 5×10⁻³ matching clusters (`deep_tail` bench,
-/// `dp_blossom_crossover`), the DP is ahead up to 11 detectors and the
-/// greedy-started `O(k³)` blossom solver from 12 on.
+/// Above this many active detectors in one shot the decoder switches
+/// from the subset DP to one whole-shot blossom solve: the DP's time and
+/// memory are `O(2^k)`. Measured on real d = 7, p = 5×10⁻³ matching
+/// clusters (`deep_tail` bench, `dp_blossom_crossover`), the DP is ahead
+/// up to 11 detectors and the greedy-started `O(k³)` blossom solver from
+/// 12 on.
 pub const DP_NODE_LIMIT: usize = 11;
 
 /// Fixed-point sub-units per weight unit when converting `f64` weights to
@@ -46,8 +45,8 @@ fn tri_index(k: usize, i: usize, j: usize) -> usize {
 /// Where the solve reports its matching: `u32` keeps only the observable
 /// mask (the production path), [`MatchingSolution`] keeps the pairs,
 /// boundary list and total weight as well. Callers report pairs and
-/// boundary matches in mate order and each cluster's cost once, in
-/// cluster order, so both sinks see the same sequence.
+/// boundary matches in mate order and the cost once, so both sinks see
+/// the same sequence.
 trait MatchFold {
     fn pair(&mut self, a: u32, b: u32, obs: u32);
     fn boundary(&mut self, a: u32, obs: u32);
@@ -103,9 +102,8 @@ enum Weights<'a> {
 /// [`GlobalWeightTable`], exactly as the paper's "idealized MWPM"
 /// baseline: every pair weight is the true shortest-path `−log₁₀ P`.
 /// Syndromes of up to four detectors are solved by a closed form, up to
-/// [`DP_NODE_LIMIT`] by the exact subset DP, and deeper ones are split
-/// into independent clusters, each solved by the closed form, the DP or
-/// the sparse blossom algorithm after the boundary reduction
+/// [`DP_NODE_LIMIT`] by the exact subset DP, and deeper ones by one
+/// sparse blossom solve over the whole shot after the boundary reduction
 /// `w'ᵢⱼ = min(wᵢⱼ, bᵢ + bⱼ)` (+ one virtual node for odd weights).
 /// `decode`, `decode_with_scratch`, [`MwpmDecoder::decode_full`] and the
 /// tile pipeline all run this one engine.
@@ -118,11 +116,12 @@ enum Weights<'a> {
 /// materializes the O(ℓ²) table. Through the DP band (`k ≤
 /// DP_NODE_LIMIT`) the two backends produce bit-identical predictions
 /// and matchings. Deep shots are staged by the selected [`DeepBackend`]:
-/// the default graph-pd engine is weight-certified — its matching
-/// weighs the staged oracle's optimum, possibly breaking ties
-/// differently — while pinning [`DeepBackend::Ondemand`] keeps the
-/// bit-identity all the way (both enforced by the `local_vs_gwt`
-/// differential suite).
+/// the default graph-pd engine stages a few neighbours per detector and
+/// prices and repairs its solve until the duals certify it optimal under
+/// the exact weights — its matching weighs the staged oracle's optimum,
+/// possibly breaking ties differently — while pinning
+/// [`DeepBackend::Ondemand`] keeps the bit-identity all the way (both
+/// enforced by the `local_vs_gwt` differential suite).
 ///
 /// ```
 /// use blossom_mwpm::MwpmDecoder;
@@ -301,7 +300,7 @@ impl<'a> MwpmDecoder<'a> {
     /// Stages the shot's weights on the local backend: the deep engine
     /// for `k > DP_NODE_LIMIT`, the full sweep below it; the table holds
     /// every pair already. Returns whether the graph-pd engine staged,
-    /// so its blossom counter can be fed.
+    /// so the deep solve prices and repairs its block.
     fn stage_shot(&self, detectors: &[u32], scratch: &mut DecodeScratch) -> bool {
         let Weights::Local { provider, .. } = &self.weights else {
             return false;
@@ -340,7 +339,8 @@ impl<'a> MwpmDecoder<'a> {
     }
 
     /// The one solve behind every entry point: stage, then closed form,
-    /// subset DP or the cluster split, folding the matching into `out`.
+    /// subset DP or the whole-shot deep solve, folding the matching into
+    /// `out`.
     fn solve<F: MatchFold>(&self, detectors: &[u32], scratch: &mut DecodeScratch, out: &mut F) {
         let k = detectors.len();
         if k == 0 {
@@ -350,7 +350,7 @@ impl<'a> MwpmDecoder<'a> {
         match k {
             1..=4 => self.closed_form(detectors, out),
             // The subset DP prunes and decomposes into clusters
-            // internally; no need to split here.
+            // internally.
             _ if k <= DP_NODE_LIMIT => self.dp(detectors, scratch, out),
             _ => self.solve_deep(detectors, scratch, graphpd, out),
         }
@@ -439,31 +439,112 @@ impl<'a> MwpmDecoder<'a> {
         }
     }
 
-    /// Sparse blossom over the block [`Self::stage_deep_block`] staged
-    /// for `dets`. Staged pairs are clamped to `2 · WEIGHT_CLAMP`,
-    /// which cannot change `min(direct, via_boundary, WEIGHT_CLAMP)`. The
-    /// mate fold reads the unclamped backend: its `direct <=
-    /// via_boundary` tie-break must see the raw pair weight, and it only
-    /// touches `k/2` pairs. The cost sums the chosen edges in mate order.
-    fn blossom<F: MatchFold>(&self, dets: &[u32], scratch: &mut DecodeScratch, out: &mut F) {
+    /// The reduced weight the deep solve stages for a pair whose direct
+    /// weight (active domain, possibly `INFINITY` or `NaN`) is `direct`:
+    /// `min(direct, bᵢ + bⱼ, WEIGHT_CLAMP)`. `f64::min` drops a `NaN`, so
+    /// an unsearched pair enters at its via-boundary weight.
+    #[inline]
+    fn reduce(direct: f64, bi: f64, bj: f64) -> f64 {
+        direct.min(bi + bj).min(WEIGHT_CLAMP)
+    }
+
+    /// A reduced weight in the blossom solver's fixed point.
+    #[inline]
+    fn fixed(w: f64) -> i64 {
+        (w * BLOSSOM_SCALE).round() as i64 + 1
+    }
+
+    /// A raw exact weight seen in the active domain: itself, or its
+    /// quantized view dequantized. Monotone, so bounds stay bounds.
+    #[inline]
+    fn active(&self, w: f64) -> f64 {
+        if self.use_quantized {
+            quantize(w, self.scale()) as f64 / self.scale()
+        } else {
+            w
+        }
+    }
+
+    /// Deep syndromes (`k > DP_NODE_LIMIT`): one whole-shot
+    /// [`sparse_blossom`] solve over the block [`Self::stage_deep_block`]
+    /// staged, after the boundary reduction `min(wᵢⱼ, bᵢ + bⱼ)` and one
+    /// virtual boundary node for odd `k`. There is no cluster split, so
+    /// [`DP_NODE_LIMIT`] is a per-shot limit. On a graph-pd block the
+    /// solve is priced and repaired until no unsearched pair violates
+    /// the final duals (see the `decoding_graph::graph_pd` module docs),
+    /// which certifies the matching optimal under the exact weights; the
+    /// table and the other engines hold no unsearched pair and stop after
+    /// one solve. No allocation on the steady-state path.
+    fn solve_deep<F: MatchFold>(
+        &self,
+        dets: &[u32],
+        scratch: &mut DecodeScratch,
+        graphpd: bool,
+        out: &mut F,
+    ) {
         let k = dets.len();
-        let n = if k.is_multiple_of(2) { k } else { k + 1 }; // virtual boundary node last
-        let (weights, boundary) = (&scratch.weights, &scratch.boundary);
-        let eff = |i: usize, j: usize| -> f64 {
-            if i >= k || j >= k {
-                let real = if i >= k { j } else { i };
-                boundary[real].min(WEIGHT_CLAMP)
-            } else {
-                let direct = self.block_w(dets, weights, i, j);
-                let via_boundary = boundary[i] + boundary[j];
-                direct.min(via_boundary).min(WEIGHT_CLAMP)
+        let n = k + k % 2; // virtual boundary node last
+        self.stage_deep_block(dets, scratch);
+        loop {
+            let (weights, boundary) = (&scratch.weights, &scratch.boundary);
+            sparse_blossom::min_weight_perfect_matching_scratch(
+                n,
+                |i, j| {
+                    Self::fixed(if i >= k || j >= k {
+                        boundary[i.min(j)].min(WEIGHT_CLAMP)
+                    } else {
+                        Self::reduce(self.block_w(dets, weights, i, j), boundary[i], boundary[j])
+                    })
+                },
+                &mut scratch.sparse,
+            );
+            if !graphpd {
+                break;
             }
+            scratch.graphpd.stats.blossoms += 1;
+            if self.repair(scratch) == 0 {
+                break;
+            }
+        }
+        self.fold_blossom(dets, scratch, out);
+    }
+
+    /// One pricing pass over the solve in `scratch.sparse`: flags every
+    /// unsearched pair whose true weight could make the final duals
+    /// infeasible, and has the provider resolve the flagged pairs
+    /// exactly. Returns how many it flagged.
+    ///
+    /// A pair of slots `i < j` was solved at `U`, its via-boundary
+    /// weight, and truly weighs at least `L`, its lower bound reduced
+    /// and converted exactly as the solve staged `U`. In the reflected
+    /// arena its true weight is at most `w'_used + 2·(U − L)`, so it
+    /// violates iff `lab[u] + lab[v] < 2·(w'_used + 2·(U − L))`. Blossom
+    /// duals are non-negative; leaving them out makes the test stricter.
+    fn repair(&self, scratch: &mut DecodeScratch) -> usize {
+        let Weights::Local { provider, .. } = &self.weights else {
+            return 0;
         };
-        sparse_blossom::min_weight_perfect_matching_scratch(
-            n,
-            |i, j| (eff(i, j) * BLOSSOM_SCALE).round() as i64 + 1,
-            &mut scratch.sparse,
-        );
+        let (sc, boundary) = (&scratch.sparse, &scratch.boundary);
+        let wn = boundary.len() + boundary.len() % 2 + 1;
+        let unsearched = self.active(f64::NAN);
+        provider
+            .borrow_mut()
+            .repair_graph_pd(&mut scratch.graphpd, |i, j, lb| {
+                let (bi, bj) = (boundary[i], boundary[j]);
+                let u_fx = Self::fixed(Self::reduce(unsearched, bi, bj));
+                let l_fx = Self::fixed(Self::reduce(self.active(lb), bi, bj));
+                let (u, v) = (i + 1, j + 1);
+                l_fx < u_fx
+                    && sc.lab[u] + sc.lab[v] < 2 * (sc.weights[u * wn + v] + 2 * (u_fx - l_fx))
+            })
+    }
+
+    /// Folds the mate of the last deep solve into `out`. It reads the
+    /// unclamped backend: its `direct <= via_boundary` tie-break must see
+    /// the raw pair weight, and it only touches `k/2` pairs. The cost
+    /// sums the chosen edges in mate order.
+    fn fold_blossom<F: MatchFold>(&self, dets: &[u32], scratch: &DecodeScratch, out: &mut F) {
+        let k = dets.len();
         let mut cost = 0.0;
         for i in 0..k {
             let j = scratch.sparse.mate[i + 1] - 1;
@@ -484,115 +565,6 @@ impl<'a> MwpmDecoder<'a> {
             }
         }
         out.cost(cost);
-    }
-
-    /// Deep syndromes (`k > DP_NODE_LIMIT`): the whole block is staged
-    /// once and split into independent matching clusters — the connected
-    /// components of "pairing `a` and `b` is strictly cheaper than
-    /// matching both to the boundary". An optimal matching never pairs
-    /// across clusters (a cross-cluster pair costs at least both boundary
-    /// weights), so the optimum is the union of per-cluster optima. A
-    /// single cluster goes to the blossom solver over the staged block;
-    /// otherwise each cluster is solved by closed form, DP or blossom,
-    /// re-staging its own sub-block (on the local backend the provider's
-    /// staged block survives, so those reads go through the slot map).
-    /// No allocation on the steady-state path.
-    fn solve_deep<F: MatchFold>(
-        &self,
-        detectors: &[u32],
-        scratch: &mut DecodeScratch,
-        graphpd: bool,
-        out: &mut F,
-    ) {
-        let k = detectors.len();
-        self.stage_deep_block(detectors, scratch);
-        // The grouped/ends buffers must stay alive across per-cluster
-        // solves that themselves stage into the arena, so take them out
-        // for the walk and hand them back (capacity preserved) after.
-        let mut grouped = std::mem::take(&mut scratch.detectors);
-        let mut ends = std::mem::take(&mut scratch.ends);
-        let arena = &scratch.weights;
-        cluster_spans(
-            k,
-            |i, j| self.block_w(detectors, arena, i, j),
-            &scratch.boundary,
-            &mut scratch.parent,
-            detectors,
-            &mut grouped,
-            &mut ends,
-        );
-        if ends.len() == 1 {
-            // A single cluster keeps the full detector list, in order.
-            scratch.graphpd.stats.blossoms += u64::from(graphpd);
-            self.blossom(detectors, scratch, out);
-        } else {
-            let mut start = 0usize;
-            for &end in &ends {
-                let dets = &grouped[start..end as usize];
-                match dets.len() {
-                    1..=4 => self.closed_form(dets, out),
-                    len if len <= DP_NODE_LIMIT => self.dp(dets, scratch, out),
-                    _ => {
-                        scratch.graphpd.stats.blossoms += u64::from(graphpd);
-                        self.stage_deep_block(dets, scratch);
-                        self.blossom(dets, scratch, out);
-                    }
-                }
-                start = end as usize;
-            }
-        }
-        scratch.detectors = grouped;
-        scratch.ends = ends;
-    }
-}
-
-/// Partitions `detectors` into matching clusters over a staged block
-/// (`weight(i, j)` the clamped pair weight, `boundary[i]` the raw
-/// boundary weight): `i` and `j` are linked when
-/// `weight(i, j) < boundary[i] + boundary[j]`. Writes the detectors
-/// grouped cluster-by-cluster into `grouped` (clusters ordered by their
-/// first member, members in input order) and each cluster's end offset
-/// into `ends`; `parent` is union-find scratch.
-fn cluster_spans(
-    k: usize,
-    weight: impl Fn(usize, usize) -> f64,
-    boundary: &[f64],
-    parent: &mut Vec<u32>,
-    detectors: &[u32],
-    grouped: &mut Vec<u32>,
-    ends: &mut Vec<u32>,
-) {
-    parent.clear();
-    parent.extend(0..k as u32);
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    for (i, &bi) in boundary.iter().enumerate() {
-        for (j, &bj) in boundary.iter().enumerate().skip(i + 1) {
-            if weight(i, j) < bi + bj {
-                let (ri, rj) = (find(parent, i as u32), find(parent, j as u32));
-                if ri != rj {
-                    parent[rj as usize] = ri;
-                }
-            }
-        }
-    }
-    grouped.clear();
-    ends.clear();
-    for r in 0..k as u32 {
-        if find(parent, r) != r {
-            continue;
-        }
-        for i in 0..k as u32 {
-            if find(parent, i) == r {
-                grouped.push(detectors[i as usize]);
-            }
-        }
-        ends.push(grouped.len() as u32);
     }
 }
 
@@ -1059,6 +1031,62 @@ mod tests {
             assert!(scratch_g.ondemand.stats.is_idle());
             assert!(!scratch_o.ondemand.stats.is_idle());
             assert!(scratch_o.graphpd.stats.is_idle());
+        }
+    }
+
+    #[test]
+    fn repair_path_resolves_a_pair_the_seed_left_unsearched() {
+        use decoding_graph::GraphPdScratch;
+
+        // A sampled d = 7, p = 2×10⁻² syndrome (k = 19) whose optimum
+        // pairs detectors 1 and 41: neither is among the other's four
+        // nearest fired detectors, so the seed leaves the pair
+        // unsearched, and the seed block's optimum is heavier (22.23
+        // against 22.11). Only pricing and repair can find the optimum.
+        let dets = [
+            1u32, 41, 67, 77, 82, 88, 95, 99, 100, 102, 118, 122, 128, 134, 137, 144, 146, 172, 176,
+        ];
+        let (lctx, gctx) = (local_ctx(7, 2e-2), ctx(7, 2e-2));
+        let mut seed = LocalWeightProvider::new(lctx.graph(), lctx.boundary());
+        seed.stage_graph_pd(&dets, &mut GraphPdScratch::new());
+        assert!(
+            seed.pair_weight(1, 41).is_nan(),
+            "the seed searched (1, 41)"
+        );
+
+        let mut dec = MwpmDecoder::for_context(&lctx);
+        assert_eq!(dec.deep_backend(), DeepBackend::GraphPd);
+        let mut scratch = DecodeScratch::new();
+        let pred = dec.decode_with_scratch(&dets, &mut scratch);
+        let s = scratch.graphpd.stats;
+        assert_eq!(s.stages, 1);
+        assert!(s.repairs > 0, "pricing flagged nothing: {s:?}");
+        assert!(s.blossoms > s.stages, "no re-solve: {s:?}");
+
+        // The replayed decode (a memo hit on the repaired block) reports
+        // the matching: it uses a pair the seed left unsearched, and it
+        // weighs the staged oracle's optimum and the whole-shot dense
+        // blossom's on the GWT weights.
+        let full = dec.decode_full(&dets);
+        assert_eq!(full.observables, pred.observables);
+        assert!(
+            full.pairs
+                .iter()
+                .any(|&(a, b)| seed.pair_weight(a, b).is_nan()),
+            "the optimum {:?} uses no unsearched pair",
+            full.pairs
+        );
+        let staged = dec.clone().with_deep_backend(DeepBackend::Staged);
+        let dense = dense_oracle(&MwpmDecoder::new(gctx.gwt()), &dets);
+        for (what, want) in [
+            ("staged", staged.decode_full(&dets).weight),
+            ("dense", dense),
+        ] {
+            assert!(
+                (full.weight - want).abs() <= 1e-9 * want,
+                "weight {} vs {what} optimum {want}",
+                full.weight
+            );
         }
     }
 

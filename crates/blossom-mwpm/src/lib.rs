@@ -9,10 +9,12 @@
 //! * [`subset_dp`] — an `O(2^k · k)` dynamic program over subsets of the
 //!   active detectors that *natively* supports matching to the lattice
 //!   boundary, with exact pruning and memoization. Provably optimal;
-//!   used up to [`DP_NODE_LIMIT`] detectors per cluster;
+//!   used up to [`DP_NODE_LIMIT`] detectors per shot;
 //! * [`sparse_blossom`] — an `O(n³)` primal–dual blossom algorithm (the
 //!   same algorithmic family as BlossomV) on a virtual adjacency with a
-//!   persistent scratch arena, for the deep tail. It starts each solve
+//!   persistent scratch arena, for the deep tail: one solve over the
+//!   whole shot, priced and repaired on the default GWT-free engine
+//!   until its duals certify the exact-weight optimum. It starts each solve
 //!   from greedy duals and a greedy tight-edge matching, as Blossom V
 //!   does. Minimum-weight *perfect* matching comes from the standard
 //!   weight reflection (staged doubled), and boundary matching from the

@@ -1,5 +1,5 @@
-//! Deep-tail backend selection: graph-native primal-dual discovery (the
-//! default), on-demand sparse staging, and the full staged sweep.
+//! Deep-tail backend selection: price-and-repair staging (the default),
+//! on-demand sparse staging, and the full staged sweep.
 //!
 //! On the GWT-free backend every deep shot (`k > DP_NODE_LIMIT`) must
 //! produce its pair-weight block before any matching runs. PR 8's staged
@@ -22,15 +22,16 @@
 //! provably behind boundary matching in both weight domains (see the
 //! [`decoding_graph::ondemand`] module docs for the full argument).
 //!
-//! [`DeepBackend::GraphPd`] goes one step further down the Sparse
-//! Blossom road — all regions grow simultaneously and pairs resolve by
-//! meet-in-the-middle
-//! ([`LocalWeightProvider::stage_graph_pd`](decoding_graph::LocalWeightProvider::stage_graph_pd)),
-//! halving every collision radius — and is the default wherever a local
-//! provider is active. It gives up bit-identity with the other engines:
-//! its contract is a per-shot weight certificate (the matching's total
-//! weight equals the staged oracle's optimum in both weight domains)
-//! plus a statistical LER gate (`tests/graphpd_vs_ondemand.rs`).
+//! [`DeepBackend::GraphPd`] stages far less: price-and-repair
+//! ([`LocalWeightProvider::stage_graph_pd`](decoding_graph::LocalWeightProvider::stage_graph_pd)
+//! seeds each detector's nearest few neighbours, and the deep solve
+//! resolves exactly only the pairs its duals flag, through
+//! [`LocalWeightProvider::repair_graph_pd`](decoding_graph::LocalWeightProvider::repair_graph_pd)).
+//! It is the default wherever a local provider is active. It gives up
+//! bit-identity with the other engines: its contract is the loop's exit
+//! test, an optimality certificate under the exact weights, checked per
+//! shot against the staged oracle (`tests/graphpd_vs_ondemand.rs`,
+//! `tests/deep_certificate.rs`) plus a statistical LER gate.
 //!
 //! [`DeepBackend`] selects between the engines, for every entry point
 //! of the decoder alike: `decode`, `decode_with_scratch`,
@@ -55,16 +56,19 @@ pub enum DeepBackend {
     /// The full per-row staged sweep (PR 8). Retained as the
     /// differential oracle and fallback.
     Staged,
-    /// Graph-native primal-dual discovery: every fired detector grows a
-    /// capped region and pair weights come from meet-in-the-middle, so a collision at distance D costs two
-    /// radius-D/2 balls instead of one radius-D ball. The default: it
-    /// won every measured GWT-free point against on-demand staging. **Not
-    /// bit-identical** to the other backends — meet weights associate
-    /// the f64 sum differently and equal-weight chains may tie-break to
-    /// a different matching — but per-shot total matching weight equals
-    /// the staged-oracle optimum in both weight domains (enforced by the
-    /// `graphpd_vs_ondemand` certificate suite, d = 15 included) and LER
-    /// is statistically indistinguishable.
+    /// Price-and-repair staging: each fired detector searches until it
+    /// has settled its 4 nearest fired detectors, the whole shot is
+    /// solved once with every unsearched pair at its via-boundary
+    /// weight, and the pairs the final duals flag are resolved exactly
+    /// and re-solved until none is flagged. The default: on
+    /// `ler-d15-deep` it decodes about 5× faster than the graph-native
+    /// ball-growing engine it replaced. **Not bit-identical** to the
+    /// other backends — a pair settled from its higher slot rounds its
+    /// f64 sum differently, and equal-weight matchings may tie-break
+    /// differently — but the loop's exit certifies each shot optimal
+    /// under the exact weights (checked against the staged oracle by the
+    /// `graphpd_vs_ondemand` and `deep_certificate` suites, d = 15 and
+    /// d = 21 included), and LER is statistically indistinguishable.
     #[default]
     GraphPd,
 }

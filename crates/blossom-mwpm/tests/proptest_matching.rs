@@ -296,3 +296,49 @@ fn mwpm_solution_weight_is_minimal_over_random_alternatives() {
     }
     assert!(checked > 30, "too few syndromes checked: {checked}");
 }
+
+#[test]
+fn certificate_against_other_weights_pins_the_optimum() {
+    // The exact-weight certificate that deep decodes are checked with:
+    // it accepts the solved weights at any reflection pivot, and rejects
+    // one granule more or less on a matched pair.
+    use certificate::check_certificate_against;
+    for (d, ctx) in grid().iter().enumerate() {
+        let k = 2 * (d + 6);
+        for seed in 0..8u64 {
+            let dets = chain_syndrome(ctx.graph(), k, 300 + seed);
+            let n = dets.len() + dets.len() % 2;
+            let w = |i: usize, j: usize| -> i64 {
+                let gwt = ctx.gwt();
+                let (a, b) = (i.min(j), i.max(j));
+                let eff = if b >= dets.len() {
+                    gwt.boundary_weight(dets[a])
+                } else {
+                    gwt.pair_weight(dets[a], dets[b])
+                        .min(gwt.boundary_weight(dets[a]) + gwt.boundary_weight(dets[b]))
+                };
+                (eff.min(WEIGHT_CLAMP) * BLOSSOM_SCALE).round() as i64 + 1
+            };
+            let arena = |u: usize, v: usize| w(u - 1, v - 1);
+            let mut scratch = SparseBlossomScratch::new();
+            sparse_blossom::min_weight_perfect_matching_scratch(n, w, &mut scratch);
+            check_certificate_against(n, &scratch, arena).unwrap();
+            check_certificate_against(n, &scratch, |u, v| arena(u, v) + 7).unwrap();
+            let (a, b) = (1, scratch.mate[1]);
+            for delta in [-1, 1] {
+                let bad = |u: usize, v: usize| {
+                    arena(u, v)
+                        + if u.min(v) == a.min(b) && u.max(v) == a.max(b) {
+                            delta
+                        } else {
+                            0
+                        }
+                };
+                assert!(
+                    check_certificate_against(n, &scratch, bad).is_err(),
+                    "granule {delta} on a matched pair accepted on {dets:?}"
+                );
+            }
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! Solve-half optimality certificate for the sparse blossom solver.
+//! Optimality certificate for the sparse blossom solver.
 //!
 //! [`check_certificate`] reads the arena that
 //! `sparse_blossom::min_weight_perfect_matching_scratch` leaves behind —
@@ -19,14 +19,52 @@
 //! With `y = lab / 2` on vertices and `z = lab / 2` on blossoms this is
 //! LP duality for Edmonds' perfect-matching polytope: for any perfect
 //! matching `M`, `w'(M) ≤ Σ y + Σ z_B·(|B| − 1)/2`, with equality for
-//! the solver's mate exactly when the last two checks hold. The checker
-//! is test support; no production path calls it.
+//! the solver's mate exactly when the last two checks hold.
+//!
+//! [`check_certificate_against`] runs the same checks with the solve's
+//! weights replaced by the caller's, in the solve's fixed point before
+//! reflection. That is how a deep decode is certified against weights
+//! it was not solved with, such as the staged oracle's exact block. The
+//! reflection pivot `W` of those weights is not stored anywhere, and
+//! duals are only defined up to it, so the pivot is read off the first
+//! matched pair; every other matched pair must then be tight at the
+//! same pivot. The checker is test support; no production path calls
+//! it.
 
 use decoding_graph::SparseBlossomScratch;
 
 /// Checks the solve-half certificate of the last `n`-vertex solve held
 /// in `sc`; `Err` names the first violated condition.
+#[allow(dead_code)]
 pub fn check_certificate(n: usize, sc: &SparseBlossomScratch) -> Result<(), String> {
+    let wn = n + 1;
+    check_duals(n, sc, |u, v| 2 * sc.weights[u * wn + v], Some(0))
+}
+
+/// Checks that the duals and mate of the last `n`-vertex solve held in
+/// `sc` certify the mate a minimum-weight perfect matching under the
+/// fixed-point weights `weight(u, v)` (1-based arena vertices, before
+/// reflection); `Err` names the first violated condition.
+#[allow(dead_code)]
+pub fn check_certificate_against(
+    n: usize,
+    sc: &SparseBlossomScratch,
+    weight: impl Fn(usize, usize) -> i64,
+) -> Result<(), String> {
+    // Reflected at pivot `W`, `2w'(u, v) = 4(W + 1) − 4·weight(u, v)`;
+    // the constant `4(W + 1)` is the pivot the first matched pair fixes.
+    check_duals(n, sc, |u, v| -4 * weight(u, v), None)
+}
+
+/// The checks behind both entry points. The reduced cost of a pair is
+/// `lab[u] + lab[v] + Σ_{live B ∋ u,v} lab[B] − pair(u, v) − pivot`;
+/// `pivot` is `None` when the first matched pair fixes it.
+fn check_duals(
+    n: usize,
+    sc: &SparseBlossomScratch,
+    pair: impl Fn(usize, usize) -> i64,
+    pivot: Option<i64>,
+) -> Result<(), String> {
     let wn = n + 1;
     for u in 1..=n {
         let m = sc.mate[u];
@@ -88,14 +126,19 @@ pub fn check_certificate(n: usize, sc: &SparseBlossomScratch) -> Result<(), Stri
     }
 
     // Reduced costs on every pair; matched pairs tight.
+    let slack = |u: usize, v: usize| {
+        let mut s = sc.lab[u] + sc.lab[v] - pair(u, v);
+        for (set, &b) in sets.iter().zip(&live) {
+            if set[u] && set[v] {
+                s += sc.lab[b];
+            }
+        }
+        s
+    };
+    let pivot = pivot.unwrap_or_else(|| slack(1, sc.mate[1]));
     for u in 1..=n {
         for v in (u + 1)..=n {
-            let mut reduced = sc.lab[u] + sc.lab[v] - 2 * sc.weights[u * wn + v];
-            for (set, &b) in sets.iter().zip(&live) {
-                if set[u] && set[v] {
-                    reduced += sc.lab[b];
-                }
-            }
+            let reduced = slack(u, v) - pivot;
             if reduced < 0 {
                 return Err(format!("pair ({u}, {v}) has reduced cost {reduced} < 0"));
             }

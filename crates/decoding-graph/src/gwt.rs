@@ -334,9 +334,10 @@ impl GlobalWeightTable {
 
 /// Fixed-point quantization of a `−log₁₀ P` weight: round to the nearest
 /// subunit, saturating at `u8::MAX` (which non-finite weights map to).
-/// Shared by the table builder and the GWT-free local provider so both
-/// derive identical quantized views.
-pub(crate) fn quantize(weight: f64, scale: f64) -> u8 {
+/// Shared by the table builder, the GWT-free local provider and the
+/// deep solve's pricing step, so all derive identical quantized views.
+/// Monotone in `weight`, so it maps a lower bound to a lower bound.
+pub fn quantize(weight: f64, scale: f64) -> u8 {
     if !weight.is_finite() {
         return u8::MAX;
     }

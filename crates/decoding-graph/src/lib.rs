@@ -44,7 +44,7 @@ pub use context::{DecodingContext, GWT_AUTO_BUDGET_BYTES};
 pub use decoder::{Decoder, Prediction};
 pub use graph::{Edge, EdgeKind, MatchingGraph};
 pub use graph_pd::{GraphPdScratch, GraphPdStats};
-pub use gwt::GlobalWeightTable;
+pub use gwt::{quantize, GlobalWeightTable};
 pub use local::{BoundaryTable, LocalWeightProvider, LocalWeightStats, WeightSource};
 pub use ondemand::{OndemandScratch, OndemandStats};
 pub use paths::PathReconstructor;

@@ -18,10 +18,14 @@
 //! boundary-sum alternatives, so a dominated `INFINITY` and the true
 //! (large) value take the same branch everywhere — predictions and
 //! matchings are bit-identical to the GWT path, which CI enforces with a
-//! differential suite at d ∈ {3, 5, 7}.
+//! differential suite at d ∈ {3, 5, 7}. The default deep-tail block of
+//! [`LocalWeightProvider::stage_graph_pd`] is the exception: it also
+//! holds unsearched (`NaN`) cells, and its decodes are certified optimal
+//! rather than bit-identical (see the [`graph_pd`](crate::graph_pd)
+//! module docs).
 
 use crate::graph::MatchingGraph;
-use crate::graph_pd::{BallEntry, GraphPdScratch, PairRec, RegionRec};
+use crate::graph_pd::{GraphPdScratch, Unsearched, SEED_NEIGHBOURS};
 use crate::gwt::{quantize, OrdF64, DEFAULT_WEIGHT_SCALE};
 use crate::ondemand::OndemandScratch;
 use std::cmp::Reverse;
@@ -32,12 +36,6 @@ use std::collections::BinaryHeap;
 /// graphs). 16 keeps the per-pair filter at a few dozen subtractions and
 /// the table under 2 MB even at d = 31 — `O(ℓ)`, built once per graph.
 const NUM_LANDMARKS: usize = 16;
-
-/// Largest detector count for which graph-pd staging sharpens its
-/// landmark upper bounds with a k³ metric closure through the fired
-/// detectors. Beyond this the closure would rival the growth it saves,
-/// so deeper shots fall back to raw landmark bounds.
-const GRAPH_PD_CLOSURE_LIMIT: usize = 384;
 
 /// Packed per-node Dijkstra state: distance, stamp, and path parity in
 /// one 16-byte record, so a relaxation's stamp check, distance compare,
@@ -87,8 +85,8 @@ enum StageFlavor {
     /// On-demand upper-triangle staging
     /// ([`LocalWeightProvider::stage_ondemand`]).
     Ondemand,
-    /// Graph-native primal-dual discovery
-    /// ([`LocalWeightProvider::stage_graph_pd`]).
+    /// Price-and-repair seed staging
+    /// ([`LocalWeightProvider::stage_graph_pd`]), plus its repairs.
     GraphPd,
 }
 
@@ -265,8 +263,8 @@ impl LocalWeightStats {
 }
 
 /// The syndrome-independent part of GWT-free staging: the coordinate
-/// lower-bound slopes, the ALT landmark rows, the packed CSR adjacency
-/// and the edge-weight extremes. It depends on the graph alone, so the
+/// lower-bound slopes, the ALT landmark rows and the packed CSR
+/// adjacency. It depends on the graph alone, so the
 /// [`MatchingGraph`] owns one, built on first use, and every
 /// [`LocalWeightProvider`] over that graph borrows it: a pool of decoders
 /// pays for the landmark Dijkstras and the adjacency copy once, not once
@@ -292,15 +290,6 @@ pub(crate) struct GraphIndex {
     // CSR adjacency over internal edges, `incident_edges` order.
     adj_head: Vec<u32>,
     adj: Vec<AdjEntry>,
-    /// Largest internal edge weight — the split-edge slack graph-pd
-    /// radius caps and witness cutoffs carry so via-node meet witnesses
-    /// always land inside the capped balls.
-    w_max: f64,
-    /// Dial-queue granularity: strictly below the smallest internal
-    /// edge weight, so one relaxation always advances at least one
-    /// bucket even under floating-point rounding — the invariant that
-    /// makes bucket-order settling exact Dijkstra order.
-    w_gran: f64,
 }
 
 impl GraphIndex {
@@ -405,8 +394,6 @@ impl GraphIndex {
             time_cost: deflate(time),
             land,
             adj_head,
-            w_max: adj.iter().map(|e| e.weight).fold(0.0, f64::max),
-            w_gran: adj.iter().map(|e| e.weight).fold(f64::INFINITY, f64::min) * (1.0 - 1e-6),
             adj,
         }
     }
@@ -435,21 +422,6 @@ impl GraphIndex {
         }
         let lb = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
         lb * (1.0 - 1e-9) - 1e-9
-    }
-
-    /// ALT landmark upper bound on the shortest-path weight: the
-    /// triangle inequality gives `d(a, b) ≤ d(l, a) + d(l, b)` for every
-    /// landmark `l`. The raw f64 sum (callers inflate before trusting it
-    /// as a radius); a landmark reaching neither endpoint contributes
-    /// `INFINITY`, which `min` discards.
-    #[inline]
-    fn landmark_upper(&self, a: u32, b: u32) -> f64 {
-        let (da, db) = (&self.land[a as usize], &self.land[b as usize]);
-        let mut lanes = [f64::INFINITY; 4];
-        for l in 0..NUM_LANDMARKS {
-            lanes[l % 4] = lanes[l % 4].min(da[l] + db[l]);
-        }
-        lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]))
     }
 }
 
@@ -482,6 +454,10 @@ pub struct LocalWeightProvider<'a> {
     obs: Vec<u32>,
     /// Per-target settle bound of the current expansion (NaN = excluded).
     bound: Vec<f64>,
+    /// Price-and-repair state of a graph-pd block: its unsearched pairs
+    /// and, per slot, how far its searches have proved distances.
+    pending: Vec<Unsearched>,
+    frontier: Vec<f64>,
     staged: bool,
     /// Which engine produced the staged block (see [`StageFlavor`]).
     flavor: StageFlavor,
@@ -525,6 +501,8 @@ impl<'a> LocalWeightProvider<'a> {
             weights: Vec::new(),
             obs: Vec::new(),
             bound: Vec::new(),
+            pending: Vec::new(),
+            frontier: Vec::new(),
             staged: false,
             flavor: StageFlavor::Full,
             stats: LocalWeightStats::default(),
@@ -569,22 +547,8 @@ impl<'a> LocalWeightProvider<'a> {
             self.stats.memo_hits += 1;
             return;
         }
-        self.staged = false;
+        self.load(dets, f64::INFINITY);
         let k = dets.len();
-        self.dets.clear();
-        self.dets.extend_from_slice(dets);
-        self.slot_epoch = bump_epoch(self.slot_epoch, &mut self.slot_stamp);
-        for (s, &d) in dets.iter().enumerate() {
-            self.slot[d as usize] = s as u32;
-            self.slot_stamp[d as usize] = self.slot_epoch;
-        }
-        self.weights.clear();
-        self.weights.resize(k * k, f64::INFINITY);
-        self.obs.clear();
-        self.obs.resize(k * k, 0);
-        for i in 0..k {
-            self.weights[i * k + i] = 0.0;
-        }
         for i in 0..k {
             self.expand(i);
         }
@@ -701,22 +665,8 @@ impl<'a> LocalWeightProvider<'a> {
             od.stats.memo_hits += 1;
             return;
         }
-        self.staged = false;
+        self.load(dets, f64::INFINITY);
         let k = dets.len();
-        self.dets.clear();
-        self.dets.extend_from_slice(dets);
-        self.slot_epoch = bump_epoch(self.slot_epoch, &mut self.slot_stamp);
-        for (s, &d) in dets.iter().enumerate() {
-            self.slot[d as usize] = s as u32;
-            self.slot_stamp[d as usize] = self.slot_epoch;
-        }
-        self.weights.clear();
-        self.weights.resize(k * k, f64::INFINITY);
-        self.obs.clear();
-        self.obs.resize(k * k, 0);
-        for i in 0..k {
-            self.weights[i * k + i] = 0.0;
-        }
         od.pos.clear();
         od.pos.resize(k, u32::MAX);
         for i in 0..k {
@@ -859,28 +809,30 @@ impl<'a> LocalWeightProvider<'a> {
         }
     }
 
-    /// Stages the pair-weight block for one detector list with the
-    /// graph-native primal-dual engine: every fired detector grows its
-    /// own fractional-radius capped Dijkstra ball over the provider's
-    /// stamped node arrays, and pair weights are recovered from
-    /// co-settlement alone — no one-sided search ever runs (see the
-    /// [`graph_pd`](crate::graph_pd) module docs for the share-pass and
-    /// witness-exactness arguments). This is the default deep-tail
-    /// engine, [`DeepBackend::GraphPd`].
+    /// Stages the seed block of the price-and-repair engine, the default
+    /// deep-tail engine [`DeepBackend::GraphPd`] (see the
+    /// [`graph_pd`](crate::graph_pd) module docs for the whole loop).
     ///
-    /// The resulting block has the staged oracle's *semantics* — the
-    /// same settled-pair set (`d(i, j) ≤ bound(i, j)`), exact weights
-    /// for settled pairs, `INFINITY` with a dominance certificate for
-    /// the rest — but is **not bit-identical**: meet weights associate
-    /// the f64 sum differently (two partial chains instead of one rooted
-    /// chain) and equal-weight shortest chains may tie-break to a
-    /// different observable parity. Decoders built on this block carry
-    /// an optimality certificate (equal total matching weight under the
-    /// oracle's weights), not a matching-for-matching identity, enforced
-    /// by `tests/graphpd_vs_ondemand.rs`.
+    /// One capped Dijkstra per fired detector, the relaxation loop of
+    /// [`stage`](Self::stage), stops after its 4 nearest fired detectors
+    /// (`SEED_NEIGHBOURS`) or past its largest dominance bound. Afterwards each
+    /// cell of the block is one of three things:
     ///
-    /// Restaging the identical list is a memoized no-op, keyed by
-    /// staging flavor like the other engines.
+    /// * an exact weight, from the search that settled the pair first
+    ///   (the lower slot's when both did);
+    /// * `INFINITY`: proved dominated, by a search or by a lower bound;
+    /// * `NaN`: **unsearched**. The pair is kept, with its lower bound,
+    ///   for [`repair_graph_pd`](Self::repair_graph_pd) to price.
+    ///
+    /// Every decode consumer reads a `NaN` cell as it reads `INFINITY`,
+    /// so an unsearched pair enters a solve at its via-boundary weight,
+    /// an upper bound on its true effective weight. The block is not
+    /// bit-identical to the staged oracle's; the decoder's exit test is
+    /// what makes its answer optimal under the exact weights.
+    ///
+    /// Restaging the identical list is a memoized no-op that keeps any
+    /// repairs made since, keyed by staging flavor like the other
+    /// engines.
     ///
     /// [`DeepBackend::GraphPd`]: https://docs.rs/blossom-mwpm
     pub fn stage_graph_pd(&mut self, dets: &[u32], gp: &mut GraphPdScratch) {
@@ -889,6 +841,244 @@ impl<'a> LocalWeightProvider<'a> {
             gp.stats.memo_hits += 1;
             return;
         }
+        self.load(dets, f64::NAN);
+        let k = dets.len();
+        // No pair of this shot has a dominance bound past
+        // `max(bᵢ + max b, (qbᵢ + max qb + 1)/scale)`.
+        let bt = self.boundary;
+        let (b_max, qb_max) = dets.iter().fold((0.0f64, 0u8), |(b, q), &d| {
+            (b.max(bt.weight(d)), q.max(bt.weight_q(d)))
+        });
+        self.frontier.clear();
+        for (i, &src) in dets.iter().enumerate() {
+            let radius = (bt.weight(src) + b_max)
+                .max((bt.weight_q(src) as f64 + qb_max as f64 + 1.0) / bt.scale());
+            let frontier = self.search(i, radius, SEED_NEIGHBOURS, |_| true, &mut gp.stats.grows);
+            self.frontier.push(frontier);
+        }
+        gp.stats.regions += k as u64;
+
+        // Census: count what the searches resolved, prove what their
+        // frontiers or a lower bound place past the dominance bound, and
+        // list the rest as unsearched.
+        self.pending.clear();
+        for i in 0..k {
+            for j in (i + 1)..k {
+                let w = self.weights[i * k + j];
+                if !w.is_nan() {
+                    *if w.is_finite() {
+                        &mut gp.stats.merges
+                    } else {
+                        &mut gp.stats.deadline_pruned
+                    } += 1;
+                    continue;
+                }
+                let (a, b) = (dets[i], dets[j]);
+                let bound = self.pair_bound(a, b);
+                if bound < self.frontier[i].max(self.frontier[j]) {
+                    self.set_cell(i, j, f64::INFINITY, 0);
+                    gp.stats.deadline_pruned += 1;
+                    continue;
+                }
+                gp.stats.excluded += 1;
+                // The coordinate bound is a few flops; the ALT bound only
+                // runs when it does not already settle the pair.
+                let cutoff = bound * (1.0 + 1e-9) + 1e-9;
+                let mut lb = self.lower_bound(a, b);
+                if lb <= cutoff {
+                    lb = lb.max(self.index.landmark_bound(a, b));
+                }
+                if lb > cutoff {
+                    self.set_cell(i, j, f64::INFINITY, 0);
+                } else {
+                    self.pending.push(Unsearched {
+                        i: i as u32,
+                        j: j as u32,
+                        lb,
+                    });
+                }
+            }
+        }
+        self.staged = true;
+        self.flavor = StageFlavor::GraphPd;
+    }
+
+    /// Prices and repairs the unsearched pairs of a
+    /// [`stage_graph_pd`](Self::stage_graph_pd) block, one pass of the
+    /// decoder's price-and-repair loop. `violates(i, j, lb)` is the
+    /// pricing test for the unsearched pair of slots `i < j` whose exact
+    /// distance is at least `lb`. Every flagged pair is resolved exactly:
+    /// one capped Dijkstra per distinct lower slot, out to the largest
+    /// dominance bound among that slot's flagged pairs, which either
+    /// settles each of them or proves it dominated. Other unsearched
+    /// pairs those searches settle or prove are resolved too.
+    ///
+    /// Returns the number of flagged pairs; zero ends the loop. On any
+    /// other staged flavor there is nothing unsearched and it returns
+    /// zero at once.
+    pub fn repair_graph_pd(
+        &mut self,
+        gp: &mut GraphPdScratch,
+        mut violates: impl FnMut(usize, usize, f64) -> bool,
+    ) -> usize {
+        if !self.staged || self.flavor != StageFlavor::GraphPd {
+            return 0;
+        }
+        gp.flagged.clear();
+        for (p, u) in self.pending.iter().enumerate() {
+            if violates(u.i as usize, u.j as usize, u.lb) {
+                gp.flagged.push(p as u32);
+            }
+        }
+        let flagged = gp.flagged.len();
+        if flagged == 0 {
+            return 0;
+        }
+        gp.stats.repairs += flagged as u64;
+        let k = self.dets.len();
+        gp.want.resize(k, 0);
+        // The unsearched list stays in census order, so the flagged
+        // pairs arrive grouped by lower slot.
+        let mut start = 0;
+        while start < flagged {
+            let i = self.pending[gp.flagged[start] as usize].i;
+            gp.tag = bump_epoch(gp.tag, &mut gp.want);
+            let mut radius = f64::NEG_INFINITY;
+            let mut end = start;
+            while end < flagged && self.pending[gp.flagged[end] as usize].i == i {
+                let u = self.pending[gp.flagged[end] as usize];
+                gp.want[u.j as usize] = gp.tag;
+                radius =
+                    radius.max(self.pair_bound(self.dets[i as usize], self.dets[u.j as usize]));
+                end += 1;
+            }
+            let (want, tag) = (&gp.want, gp.tag);
+            let frontier = self.search(
+                i as usize,
+                radius,
+                end - start,
+                |j| want[j] == tag,
+                &mut gp.stats.grows,
+            );
+            let f = &mut self.frontier[i as usize];
+            *f = f.max(frontier);
+            start = end;
+        }
+
+        // Resolve every unsearched pair the searches reached.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|u| {
+            let (i, j) = (u.i as usize, u.j as usize);
+            let w = self.weights[i * k + j];
+            let resolved = if !w.is_nan() {
+                w.is_finite()
+            } else if self.pair_bound(self.dets[i], self.dets[j])
+                < self.frontier[i].max(self.frontier[j])
+            {
+                self.set_cell(i, j, f64::INFINITY, 0);
+                false
+            } else {
+                return true;
+            };
+            gp.stats.excluded = gp.stats.excluded.saturating_sub(1);
+            *if resolved {
+                &mut gp.stats.merges
+            } else {
+                &mut gp.stats.deadline_pruned
+            } += 1;
+            false
+        });
+        self.pending = pending;
+        flagged
+    }
+
+    /// One capped Dijkstra from slot `i` for the price-and-repair engine,
+    /// relaxation for relaxation the loop of [`Self::expand`], so a pair
+    /// settled from its lower slot is bit-identical to the staged
+    /// oracle's. Each settled fired detector whose cell is still
+    /// unsearched gets its exact distance, or `INFINITY` past its
+    /// dominance bound. The search stops once it has settled `quota`
+    /// detectors that `wanted` accepts, or once its frontier passes
+    /// `radius`. Returns the frontier: every node it left unsettled is at
+    /// least that far from the source (`INFINITY` when the graph ran out).
+    fn search(
+        &mut self,
+        i: usize,
+        radius: f64,
+        mut quota: usize,
+        wanted: impl Fn(usize) -> bool,
+        settled: &mut u64,
+    ) -> f64 {
+        let k = self.dets.len();
+        let src = self.dets[i];
+        let stamp = self.bump_node_epoch();
+        self.node[src as usize] = NodeState {
+            dist: 0.0,
+            stamp,
+            parity: 0,
+        };
+        self.heap.clear();
+        self.heap.push(Reverse(heap_key(0.0, src)));
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let d = heap_key_dist(key);
+            let u = key as u32;
+            // The popped key is the smallest in the heap, so every node
+            // still unsettled is at least `d` away.
+            if d > radius {
+                return d;
+            }
+            let nu = self.node[u as usize];
+            if nu.stamp != stamp || d > nu.dist {
+                continue;
+            }
+            *settled += 1;
+            if u != src && self.slot_stamp[u as usize] == self.slot_epoch {
+                let j = self.slot[u as usize] as usize;
+                if self.weights[i * k + j].is_nan() {
+                    let w = if d <= self.pair_bound(src, u) {
+                        d
+                    } else {
+                        f64::INFINITY
+                    };
+                    self.set_cell(i, j, w, nu.parity);
+                }
+                if wanted(j) {
+                    quota -= 1;
+                    if quota == 0 {
+                        return d;
+                    }
+                }
+            }
+            for &e in self.index.adj(u) {
+                let nd = d + e.weight;
+                let nw = &mut self.node[e.nbr as usize];
+                if nw.stamp != stamp || nd < nw.dist {
+                    *nw = NodeState {
+                        dist: nd,
+                        stamp,
+                        parity: nu.parity ^ e.obs,
+                    };
+                    self.heap.push(Reverse(heap_key(nd, e.nbr)));
+                }
+            }
+        }
+        f64::INFINITY
+    }
+
+    /// Writes a pair's weight and parity into both mirror cells.
+    #[inline]
+    fn set_cell(&mut self, i: usize, j: usize, w: f64, par: u32) {
+        let k = self.dets.len();
+        self.weights[i * k + j] = w;
+        self.weights[j * k + i] = w;
+        self.obs[i * k + j] = par;
+        self.obs[j * k + i] = par;
+    }
+
+    /// Starts a new staged block for `dets`: records the list and its
+    /// slot map, and fills every off-diagonal cell with `fill` (the
+    /// diagonal is zero, parities zero).
+    fn load(&mut self, dets: &[u32], fill: f64) {
         self.staged = false;
         let k = dets.len();
         self.dets.clear();
@@ -898,336 +1088,13 @@ impl<'a> LocalWeightProvider<'a> {
             self.slot[d as usize] = s as u32;
             self.slot_stamp[d as usize] = self.slot_epoch;
         }
-        let ix = self.index;
-
-        // Distance envelope: landmark upper bounds for every slot pair,
-        // sharpened by a metric closure through the fired detectors
-        // themselves — `ub(i, j) ≤ ub(i, m) + ub(m, j)` stays sound
-        // because each term overestimates a true distance. Landmarks are
-        // global, detector chains are local; the closure recovers tight
-        // radii for pairs the landmarks see poorly. Cubic in k and
-        // row-vectorized, so the very deepest shots fall back to raw
-        // landmark bounds rather than pay k³. The bounds live in the
-        // block's own k×k `weights`, which holds nothing until resolution
-        // rewrites it; lower bounds are not stored at all — the census
-        // recomputes each from the landmark rows.
         self.weights.clear();
-        self.weights.resize(k * k, 0.0);
+        self.weights.resize(k * k, fill);
         self.obs.clear();
         self.obs.resize(k * k, 0);
         for i in 0..k {
-            for j in (i + 1)..k {
-                let ub = ix.landmark_upper(dets[i], dets[j]);
-                self.weights[i * k + j] = ub;
-                self.weights[j * k + i] = ub;
-            }
-        }
-        if k <= GRAPH_PD_CLOSURE_LIMIT {
-            let ub = &mut self.weights;
-            gp.closure_row.resize(k, 0.0);
-            for m in 0..k {
-                gp.closure_row.copy_from_slice(&ub[m * k..(m + 1) * k]);
-                for i in 0..k {
-                    let base = ub[i * k + m];
-                    if !base.is_finite() {
-                        continue;
-                    }
-                    let row = &mut ub[i * k..(i + 1) * k];
-                    for (u, &pivot) in row.iter_mut().zip(&gp.closure_row) {
-                        *u = u.min(base + pivot);
-                    }
-                }
-            }
-        }
-
-        // Pair census: exclude what a lower bound certifies dominated,
-        // record every kept pair's requirement, and accumulate
-        // tentative midpoint caps (reusing the closure row buffer). A
-        // kept pair's per-pair numbers live in its upper-triangle cell
-        // of the block rather than in its 16-byte record: the
-        // requirement replaces the cell's upper bound here, the sweep
-        // cutoff replaces the requirement in the last share round, and
-        // the witness parity goes to the same cell of `obs`.
-        gp.pairs.clear();
-        gp.regions.clear();
-        gp.regions.resize(k, RegionRec::EMPTY);
-        gp.closure_row.clear();
-        gp.closure_row.resize(k, 0.0);
-        for i in 0..k {
-            let src = dets[i];
-            for (j, &dst) in dets.iter().enumerate().skip(i + 1) {
-                let b = self.pair_bound(src, dst);
-                let cutoff = b * (1.0 + 1e-9) + 1e-9;
-                if self.lower_bound(src, dst) > cutoff || ix.landmark_bound(src, dst) > cutoff {
-                    gp.stats.excluded += 1;
-                    continue;
-                }
-                // Only min(bound, upper bound) of growth, plus one split
-                // edge, split across the two endpoint balls can matter
-                // for this pair: whenever the two cap radii sum to the
-                // chain weight plus w_max, the first chain node within
-                // the walked cap is witnessed by both balls. The share
-                // pass below divides this joint requirement.
-                let need2 = b.min(self.weights[i * k + j]) + ix.w_max;
-                self.weights[i * k + j] = need2;
-                gp.pairs.push(PairRec {
-                    mu: f64::INFINITY,
-                    i: i as u32,
-                    j: j as u32,
-                });
-                let half = 0.5 * need2;
-                for r in [i, j] {
-                    gp.regions[r].pairs += 1;
-                    if half > gp.closure_row[r] {
-                        gp.closure_row[r] = half;
-                    }
-                }
-            }
-        }
-
-        // Share passes: divide each pair's requirement across its two
-        // balls in proportion to the previous round's caps, so a
-        // region that must grow far for its worst pair absorbs its
-        // other pairs almost for free and their partners stay small.
-        // Any split is sound — whenever the two caps sum to the joint
-        // requirement, the first shortest-chain node inside the walked
-        // cap is a witness in both balls — so each round's caps are
-        // feasible by construction, and a few rounds let the skew
-        // concentrate. The final round assigns roles and stores the
-        // walked side's share as the pair's sweep cutoff.
-        for round in 0..4 {
-            let last = round == 3;
-            for pr in &mut gp.pairs {
-                let (i, j) = (pr.i as usize, pr.j as usize);
-                let (ti, tj) = (gp.closure_row[i], gp.closure_row[j]);
-                let frac = if ti + tj > 0.0 { ti / (ti + tj) } else { 0.5 };
-                let cell = &mut self.weights[i * k + j];
-                let need2 = *cell;
-                let share_i = need2 * frac;
-                let share_j = need2 - share_i;
-                if last {
-                    // The side with the larger previous-round cap (the
-                    // lower slot on ties) is dense, so roles follow one
-                    // total order over regions — the growth order below.
-                    // Walk half the smaller share and grow the dense
-                    // side the rest: region caps are shared across a
-                    // region's pairs while the walk (and the log that
-                    // feeds it) is paid per pair, and a dense-only ball
-                    // is never logged, so shaving the walk radius wins
-                    // even when it bumps a ball. At d = 15 the half
-                    // split logs a third of what a 0.8 split did, and
-                    // stages no slower.
-                    let (dense, walk, ws) = if ti >= tj {
-                        (i, j, share_j)
-                    } else {
-                        (j, i, share_i)
-                    };
-                    let ws = ws * 0.5;
-                    let ds = need2 - ws;
-                    pr.i = dense as u32;
-                    pr.j = walk as u32;
-                    let cut = ws * (1.0 + 1e-9) + 1e-9;
-                    *cell = cut;
-                    let dense_need = ds * (1.0 + 1e-9) + 1e-9;
-                    let reg = &mut gp.regions[dense];
-                    if dense_need > reg.cap {
-                        reg.cap = dense_need;
-                    }
-                    let reg = &mut gp.regions[walk];
-                    if cut > reg.cap {
-                        reg.cap = cut;
-                    }
-                    // The sweep walks this ball up to one granule past
-                    // the cut (bucket-order slack), so its log must hold
-                    // that prefix.
-                    reg.walk = reg.walk.max(cut + ix.w_gran);
-                } else {
-                    let reg = &mut gp.regions[i];
-                    if share_i > reg.cap {
-                        reg.cap = share_i;
-                    }
-                    let reg = &mut gp.regions[j];
-                    if share_j > reg.cap {
-                        reg.cap = share_j;
-                    }
-                }
-            }
-            if !last {
-                for r in 0..k {
-                    gp.closure_row[r] = gp.regions[r].cap;
-                    gp.regions[r].cap = 0.0;
-                }
-            }
-        }
-
-        // Growth order: ascending previous-round cap, the higher slot
-        // first on ties — every pair's walked side grows (and logs its
-        // prefix) before its dense side, so each region's sweep can run
-        // right after its growth, while its ball is still the live stamp
-        // in `node`. Pairs are grouped by dense side (role swapping broke
-        // the census's grouping by first endpoint; the re-sort is over
-        // nearly sorted keys) and each region records its group's span.
-        let prev = &gp.closure_row;
-        gp.order.clear();
-        gp.order
-            .extend((0..k as u32).filter(|&r| gp.regions[r as usize].pairs > 0));
-        gp.order.sort_unstable_by(|&a, &b| {
-            prev[a as usize]
-                .total_cmp(&prev[b as usize])
-                .then(b.cmp(&a))
-        });
-        gp.pairs.sort_unstable_by_key(|pr| pr.i);
-        let mut p0 = 0;
-        for group in gp.pairs.chunk_by(|a, b| a.i == b.i) {
-            let p1 = p0 + group.len();
-            gp.regions[group[0].i as usize].dense = [p0 as u32, p1 as u32];
-            p0 = p1;
-        }
-
-        // Growth: one capped Dijkstra per region with tracked pairs, the
-        // on-demand engine's settle loop verbatim. Only the walked
-        // prefix is logged: every walk over a ball stops at its first
-        // entry past the region's largest cutoff, so entries from there
-        // on are never read, and a region no pair walks logs nothing.
-        gp.ball.reset(self.node.len());
-        let gran = ix.w_gran;
-        let inv_gran = 1.0 / gran;
-        for o in 0..gp.order.len() {
-            let r = gp.order[o] as usize;
-            let src = dets[r];
-            let RegionRec { cap, walk, .. } = gp.regions[r];
-            gp.stats.regions += 1;
-            let stamp = self.bump_node_epoch();
-            self.node[src as usize] = NodeState {
-                dist: 0.0,
-                stamp,
-                parity: 0,
-            };
-            let nb = (cap * inv_gran) as usize + 2;
-            if gp.dial.len() < nb {
-                gp.dial.resize_with(nb, Vec::new);
-            }
-            gp.dial[0].push(heap_key(0.0, src));
-            gp.ball.begin();
-            let mut logging = true;
-            let mut pending = 1usize;
-            let mut b = 0usize;
-            while pending > 0 {
-                // Draining bucket `b` can never push back into it:
-                // every relaxation adds at least one full granule.
-                let bucket = std::mem::take(&mut gp.dial[b]);
-                for &key in &bucket {
-                    pending -= 1;
-                    let d = heap_key_dist(key);
-                    let u = key as u32;
-                    let nu = self.node[u as usize];
-                    if nu.stamp != stamp || d > nu.dist {
-                        continue;
-                    }
-                    gp.stats.grows += 1;
-                    if logging {
-                        logging = d <= walk;
-                        if logging {
-                            gp.ball.push(BallEntry {
-                                dist: d,
-                                node: u,
-                                par: nu.parity,
-                            });
-                        }
-                    }
-                    gp.stats.edge_events += ix.adj(u).len() as u64;
-                    for &e in ix.adj(u) {
-                        let nd = d + e.weight;
-                        let nw = &mut self.node[e.nbr as usize];
-                        if nw.stamp != stamp || nd < nw.dist {
-                            *nw = NodeState {
-                                dist: nd,
-                                stamp,
-                                parity: nu.parity ^ e.obs,
-                            };
-                            // Beyond-cap frontier nodes are never
-                            // pushed: with positive weights nothing
-                            // outside the cap re-enters it, so the
-                            // capped ball stays prefix-exact — the
-                            // on-demand radius argument.
-                            if nd <= cap {
-                                gp.dial[(nd * inv_gran) as usize].push(heap_key(nd, e.nbr));
-                                pending += 1;
-                            }
-                        }
-                    }
-                }
-                let mut bucket = bucket;
-                bucket.clear();
-                gp.dial[b] = bucket;
-                b += 1;
-            }
-            gp.stats.frozen += 1;
-            gp.regions[r].log = gp.ball.end();
-
-            // Meet sweep of the pairs whose dense side is this region.
-            // Its ball is exactly the nodes carrying this growth's stamp
-            // at a distance within the cap (frontier nodes past the cap
-            // hold tentative distances and are filtered out), so every
-            // pair walks its partner's logged prefix up to its own
-            // witness cutoff and probes `node` directly. Per-pair cost
-            // scales with that pair's relevant volume, not the region's
-            // worst pair.
-            let [p0, p1] = gp.regions[r].dense;
-            for p in p0 as usize..p1 as usize {
-                let pr = gp.pairs[p];
-                let (i, j) = (pr.i as usize, pr.j as usize);
-                let mut mu = pr.mu;
-                let mut par = 0;
-                let cut_s = self.weights[i.min(j) * k + i.max(j)] + gran;
-                for e in gp.ball.span(gp.regions[pr.j as usize].log) {
-                    let dj = e.dist;
-                    // Entries past the cutoff can't witness an exact
-                    // chain; entries at or past the running minimum
-                    // can't improve it (cand ≥ dj ≥ mu). The balls are
-                    // bucket-ordered, not totally ordered, so both
-                    // breaks carry one granule of slack — later entries
-                    // can undershoot this one by at most `w_gran`.
-                    if dj > cut_s || dj >= mu + gran {
-                        break;
-                    }
-                    // Branch-free membership test: the walk crosses the
-                    // ball's edge often, so a select beats two
-                    // data-dependent branches.
-                    let d = self.node[e.node as usize];
-                    let inside = (d.stamp == stamp) & (d.dist <= cap);
-                    let cand = if inside { d.dist + dj } else { f64::INFINITY };
-                    if cand < mu {
-                        mu = cand;
-                        par = d.parity ^ e.par;
-                    }
-                }
-                gp.pairs[p].mu = mu;
-                self.obs[i * k + j] = par;
-            }
-        }
-
-        // Resolution: a witness at or under the bound is the exact pair
-        // weight (merge); balls that never touched under the bound
-        // certify boundary dominance in both weight domains.
-        self.weights.fill(f64::INFINITY);
-        for i in 0..k {
             self.weights[i * k + i] = 0.0;
         }
-        for pr in &gp.pairs {
-            let (i, j) = (pr.i as usize, pr.j as usize);
-            if pr.mu.is_finite() && pr.mu <= self.pair_bound(dets[i], dets[j]) {
-                gp.stats.merges += 1;
-                self.weights[i * k + j] = pr.mu;
-                self.weights[j * k + i] = pr.mu;
-                self.obs[j * k + i] = self.obs[i * k + j];
-            } else {
-                gp.stats.deadline_pruned += 1;
-                self.obs[i * k + j] = 0;
-            }
-        }
-        self.staged = true;
-        self.flavor = StageFlavor::GraphPd;
     }
 
     /// The dominance bound of a pair, `max(bₐ + b_b, (qbₐ + qb_b + 1)/scale)`:
@@ -1280,8 +1147,13 @@ impl<'a> LocalWeightProvider<'a> {
         self.slot[det as usize] as usize
     }
 
-    /// Raw exact pair weight from the staged block: bit-identical to
-    /// `gwt.pair_weight(i, j)` when settled, `INFINITY` when dominated.
+    /// Raw exact pair weight from the staged block: the exact weight
+    /// when settled (bit-identical to `gwt.pair_weight(i, j)` except for
+    /// a graph-pd pair settled from its higher slot, which may differ in
+    /// the last ulp), `INFINITY` when proved dominated, and `NaN` when a
+    /// graph-pd block left the pair unsearched. Every decode consumer
+    /// reads `NaN` as it reads `INFINITY`: `f64::min` drops it, `<=`
+    /// rejects it, and it quantizes to `u8::MAX`.
     #[inline]
     pub fn pair_weight(&self, i: u32, j: u32) -> f64 {
         self.weights[self.slot_of(i) * self.dets.len() + self.slot_of(j)]
@@ -1289,7 +1161,8 @@ impl<'a> LocalWeightProvider<'a> {
 
     /// Quantized pair weight: bit-identical to `gwt.pair_weight_q(i, j)`
     /// when settled, `u8::MAX` when dominated (in which case the true
-    /// quantized weight also exceeds `qbᵢ + qbⱼ`, so comparisons agree).
+    /// quantized weight also exceeds `qbᵢ + qbⱼ`, so comparisons agree)
+    /// or unsearched.
     #[inline]
     pub fn pair_weight_q(&self, i: u32, j: u32) -> u8 {
         quantize(self.pair_weight(i, j), self.boundary.scale())
@@ -1672,13 +1545,13 @@ mod tests {
 
     #[test]
     fn graph_pd_block_matches_staged_semantics() {
-        // Differential ground truth for the graph-pd engine. The block is
-        // not bit-identical to the staged oracle's (meet weights associate
-        // the f64 sum differently), so the contract is semantic: the same
-        // settled-pair set — settled iff the oracle distance is within the
-        // pair's dominance bound — with settled weights equal to the
-        // oracle's up to f64 association noise, symmetric mirrors, and
-        // every unsettled pair certified dominated.
+        // Differential ground truth for the price-and-repair seed. Every
+        // cell is exact (equal to the staged oracle's up to f64
+        // association noise, from whichever side settled it), proved
+        // dominated (`INFINITY`, and the oracle agrees), or unsearched
+        // (`NaN`), and mirrors are symmetric. Once a pricer flags every
+        // unsearched pair, one repair pass leaves none, and every pair
+        // the decoders could prefer over boundary matching is exact.
         for (d, p) in [(3, 1e-3), (5, 5e-3), (5, 1e-3), (7, 2e-3)] {
             let g = graph(d, p);
             let bt = BoundaryTable::new(&g);
@@ -1693,43 +1566,53 @@ mod tests {
                 (0..n).step_by(3).collect(),
                 (0..n).collect(),
             ];
+            let mut unsearched = 0;
             for dets in &lists {
                 staged.stage(dets);
                 graphpd.stage_graph_pd(dets, &mut gp);
                 let k = dets.len();
-                let scale = bt.scale();
-                for i in 0..k {
-                    for j in (i + 1)..k {
-                        let (a, b) = (dets[i], dets[j]);
-                        let sv = staged.pair_weight(a, b);
-                        let gv = graphpd.pair_weight(a, b);
-                        let bound = (bt.weight(a) + bt.weight(b))
-                            .max((bt.weight_q(a) as f64 + bt.weight_q(b) as f64 + 1.0) / scale);
-                        if gv.is_finite() {
-                            let tol = 1e-9 * (1.0 + sv.abs());
-                            assert!(
-                                (gv - sv).abs() <= tol,
-                                "({a},{b}) weight {gv} vs oracle {sv}"
-                            );
+                for repaired in [false, true] {
+                    if repaired {
+                        let pending = graphpd.pending.len();
+                        assert_eq!(graphpd.repair_graph_pd(&mut gp, |_, _, _| true), pending);
+                        assert!(graphpd.pending.is_empty());
+                        assert_eq!(graphpd.repair_graph_pd(&mut gp, |_, _, _| true), 0);
+                    }
+                    for i in 0..k {
+                        for j in (i + 1)..k {
+                            let (a, b) = (dets[i], dets[j]);
+                            let sv = staged.pair_weight(a, b);
+                            let gv = graphpd.pair_weight(a, b);
+                            let bound = graphpd.pair_bound(a, b);
                             assert_eq!(graphpd.pair_weight(b, a).to_bits(), gv.to_bits());
-                            assert_eq!(graphpd.pair_obs(b, a), graphpd.pair_obs(a, b));
-                        } else {
-                            assert!(
-                                sv > bound * (1.0 - 1e-9),
-                                "({a},{b}) pruned but oracle {sv} <= bound {bound}"
-                            );
-                        }
-                        // Every pair the decoders could prefer over
-                        // boundary matching must be discovered.
-                        if sv <= bound * (1.0 - 1e-9) {
-                            assert!(gv.is_finite(), "({a},{b}) consumable pair not met");
+                            if gv.is_nan() {
+                                assert!(!repaired, "({a},{b}) unsearched after repair");
+                                unsearched += 1;
+                            } else if gv.is_finite() {
+                                let tol = 1e-9 * (1.0 + sv.abs());
+                                assert!(
+                                    (gv - sv).abs() <= tol,
+                                    "({a},{b}) weight {gv} vs oracle {sv}"
+                                );
+                                assert_eq!(graphpd.pair_obs(b, a), graphpd.pair_obs(a, b));
+                            } else {
+                                assert!(
+                                    sv > bound * (1.0 - 1e-9),
+                                    "({a},{b}) pruned but oracle {sv} <= bound {bound}"
+                                );
+                            }
+                            if repaired && sv <= bound * (1.0 - 1e-9) {
+                                assert!(gv.is_finite(), "({a},{b}) consumable pair not exact");
+                            }
                         }
                     }
                 }
             }
+            assert!(unsearched > 0, "d = {d}: the seed searched every pair");
             assert!(!gp.stats.is_idle());
             assert!(gp.stats.merges > 0);
             assert!(gp.stats.grows > 0);
+            assert!(gp.stats.repairs > 0);
         }
     }
 
@@ -1747,6 +1630,12 @@ mod tests {
         p.stage_graph_pd(&dets, &mut gp);
         let s = gp.stats;
         assert_eq!(s.stages, 1);
+        assert_eq!(s.excluded + s.merges + s.deadline_pruned, k * (k - 1) / 2);
+        // A repair moves pairs out of `excluded` without double counting.
+        let repaired = p.repair_graph_pd(&mut gp, |i, j, _| (i + j) % 2 == 0) as u64;
+        let s = gp.stats;
+        assert!(repaired > 0);
+        assert_eq!(s.repairs, repaired);
         assert_eq!(s.excluded + s.merges + s.deadline_pruned, k * (k - 1) / 2);
         p.stage_graph_pd(&dets, &mut gp);
         let s2 = gp.stats;

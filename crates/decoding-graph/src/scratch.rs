@@ -143,10 +143,8 @@ pub struct DecodeScratch {
     pub cost: Vec<f64>,
     /// Per-node mate assignment; `usize::MAX` means "boundary".
     pub mate: Vec<usize>,
-    /// Detector-index working buffer.
-    pub detectors: Vec<u32>,
-    /// Per-node bitmask working buffer (e.g. the subset DP's pruned
-    /// adjacency masks for cluster decomposition).
+    /// Per-node bitmask working buffer (the subset DP's pruned
+    /// adjacency masks).
     pub parent: Vec<u32>,
     /// Per-state validity stamps paired with `cost`: `stamp[s] == epoch`
     /// marks `cost[s]` as computed in the current solve, which lets a
@@ -155,17 +153,15 @@ pub struct DecodeScratch {
     pub stamp: Vec<u32>,
     /// Current stamp epoch for `stamp` (bumped once per solve).
     pub epoch: u32,
-    /// Cluster end offsets for the deep-syndrome decomposition path.
-    pub ends: Vec<u32>,
     /// Persistent arena for the sparse blossom solver (deep tail).
     pub sparse: SparseBlossomScratch,
     /// Persistent arena (and work counters) for the on-demand staging
     /// engine (deep tail under [`WeightSource`](crate::WeightSource)
     /// `::Local`).
     pub ondemand: OndemandScratch,
-    /// Persistent arena (and work counters) for the graph-native
-    /// primal-dual discovery engine (the default deep tail under
-    /// [`WeightSource`](crate::WeightSource) `::Local`).
+    /// Repair buffers and work counters of the price-and-repair engine
+    /// (the default deep tail under [`WeightSource`](crate::WeightSource)
+    /// `::Local`).
     pub graphpd: GraphPdScratch,
 }
 
@@ -181,11 +177,9 @@ impl DecodeScratch {
         self.boundary.clear();
         self.cost.clear();
         self.mate.clear();
-        self.detectors.clear();
         self.parent.clear();
         self.stamp.clear();
         self.epoch = 0;
-        self.ends.clear();
         self.sparse.clear();
         self.ondemand.clear();
         self.graphpd.clear();

@@ -8,8 +8,8 @@
 //! `(distance, p, seed, threads)` combinations, enforced by proptest.
 
 use astrea::prelude::*;
-use proptest::prelude::*;
 use astrea_serve::{DecodeService, ServeConfig, ServiceStats, SubmitPolicy};
+use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 /// Distances × error rates covered by the properties. Contexts are built
@@ -37,9 +37,8 @@ fn decode_on_pool(
     batch: &SyndromeBatch,
     workers: usize,
 ) -> (Vec<Prediction>, ServiceStats) {
-    let factory: Arc<BatchDecoderFactory> = Arc::new(|c: &DecodingContext| {
-        Box::new(MwpmDecoder::new(c.gwt())) as Box<dyn Decoder>
-    });
+    let factory: Arc<BatchDecoderFactory> =
+        Arc::new(|c: &DecodingContext| Box::new(MwpmDecoder::new(c.gwt())) as Box<dyn Decoder>);
     let config = ServeConfig {
         workers,
         max_inflight: batch.len().max(1),

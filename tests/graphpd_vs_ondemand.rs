@@ -1,10 +1,11 @@
-//! Certificates and statistical gates for the graph-native primal-dual
-//! deep-tail backend.
+//! Certificates and statistical gates for the price-and-repair deep-tail
+//! backend.
 //!
 //! [`DeepBackend::GraphPd`] is explicitly **not** bit-identical to the
-//! on-demand/staged engines: meet-in-the-middle weights associate the
-//! f64 sum differently and equal-weight shortest chains may tie-break to
-//! a different matching. Its contract is therefore proven three ways:
+//! on-demand/staged engines: a pair settled from its higher slot rounds
+//! its f64 sum differently, unsearched pairs are solved at their
+//! via-boundary weight, and equal-weight matchings may tie-break
+//! differently. Its contract is therefore proven three ways:
 //!
 //! 1. **Per-shot weight certificates** — every graph-pd matching is a
 //!    perfect matching over the shot's detectors whose total weight,
@@ -179,7 +180,9 @@ fn weight_certificates_hold_on_both_axes() {
     // past the GWT budget, where every shot is deep. The default decoder
     // (graph-pd) must return a perfect matching whose weight equals the
     // staged oracle's optimum, both as the decoders report it and
-    // re-evaluated under the oracle's own staged weights.
+    // re-evaluated under the oracle's own staged weights. The release
+    // corpus is large enough to hold shots whose seed-only solve is
+    // suboptimal, so a pricer that never repairs fails here.
     let ctx = ExperimentContext::new(15, 5e-3);
     assert!(ctx.decoding().try_gwt().is_none(), "d = 15 built a GWT");
     let mut oracle = LocalWeightProvider::new(ctx.graph(), ctx.decoding().boundary());
@@ -188,7 +191,7 @@ fn weight_certificates_hold_on_both_axes() {
     let corpus: Vec<Vec<u32>> =
         std::iter::repeat_with(|| sampler.sample(&mut rng).detectors.clone())
             .filter(|d| d.len() > DP_NODE_LIMIT)
-            .take(shots(16))
+            .take(shots(160))
             .collect();
     for quantized in [false, true] {
         let prod = if quantized {
@@ -224,10 +227,11 @@ fn weight_certificates_hold_on_both_axes() {
 
 #[test]
 fn graphpd_counters_partition_the_pair_count() {
-    // Every pair of a non-memo graph-pd stage resolves exactly once:
-    // excluded up front, met within its bound (merge), or certified
-    // dominated. The three counters must sum to k·(k−1)/2 per stage,
-    // and a replay of the same list must be a pure memo hit.
+    // Every pair of a non-memo graph-pd stage ends counted exactly once
+    // when the price-and-repair loop exits: exact (merge), proved
+    // dominated by a search, or never searched (excluded). The three
+    // counters must sum to k·(k−1)/2 per stage, and a replay of the same
+    // list must be a pure memo hit.
     for ctx in grid().iter().filter(|c| c.distance >= 5) {
         let (mut gpd, _) = decoder_pair(ctx, false);
         let mut scratch = DecodeScratch::new();

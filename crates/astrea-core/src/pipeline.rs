@@ -1351,14 +1351,12 @@ mod tests {
         ] {
             assert!(n > 0, "{tier} tier idle: {c:?}");
         }
-        // Deep shots that decompose into small clusters are solved by the
-        // per-cluster DP, so solves need not reach sparse_blossom_shots —
-        // but the arena must have engaged on this stream.
-        assert!(
-            scratch.sparse.solves > 0,
-            "sparse solver arena never engaged on this stream — every deep \
-             shot decomposed into sub-blossom clusters, so the test no \
-             longer covers the blossom band: {c:?}"
+        // On GWT weights every deep shot is one whole-shot blossom solve
+        // (no unsearched pair, so no re-solve): the arena's solve count
+        // must match the deep tier's shot count exactly.
+        assert_eq!(
+            scratch.sparse.solves, c.sparse_blossom_shots,
+            "deep shots and sparse-blossom solves disagree: {c:?}"
         );
     }
 

@@ -2,12 +2,11 @@
 //! on-demand sparse staging, and the full staged sweep.
 //!
 //! On the GWT-free backend every deep shot (`k > DP_NODE_LIMIT`) must
-//! produce its pair-weight block before any matching runs. PR 8's staged
-//! path ([`LocalWeightProvider::stage`](decoding_graph::LocalWeightProvider::stage))
+//! produce its pair-weight block before any matching runs. The staged
+//! sweep ([`LocalWeightProvider::stage`](decoding_graph::LocalWeightProvider::stage))
 //! runs one truncated Dijkstra per fired detector out to the *maximum*
-//! settle bound over all of its targets — at large distances that floods
-//! most of the lattice per source and is ~99 % of deep decode time
-//! (367 ms of a 370 ms d = 31 shot).
+//! settle bound over all of its targets, so at large distances each
+//! source floods most of the lattice.
 //!
 //! The on-demand engine
 //! ([`LocalWeightProvider::stage_ondemand`](decoding_graph::LocalWeightProvider::stage_ondemand))
@@ -16,7 +15,7 @@
 //! far as a *per-pair* deadline certificate requires, discover pair
 //! edges lazily when a region reaches a target, and certify every other
 //! pair dominated the moment the nondecreasing settle frontier passes
-//! its bound. Values come from the identical relaxation loop, so the
+//! its bound. Values come from the same search kernel, so the
 //! block the matching tiers consume is bit-compatible with the staged
 //! one: settled entries bit-equal, and the extra `INFINITY` entries all
 //! provably behind boundary matching in both weight domains (see the
@@ -40,8 +39,8 @@
 //! differential suites compare two real engines, never one engine with
 //! itself. [`DeepBackend::Ondemand`] stays available for bit-identity
 //! with the GWT path (the `ondemand_vs_staged` and `local_vs_gwt` suites
-//! pin it), and [`DeepBackend::Staged`] keeps PR 8's full sweep as the
-//! differential oracle.
+//! pin it), and [`DeepBackend::Staged`] runs the full sweep on deep shots
+//! too, which makes it the differential oracle.
 
 /// Which staging engine the deep tail (`k > DP_NODE_LIMIT`) uses on the
 /// GWT-free backend. Irrelevant (unread) when the decoder is backed by
@@ -49,20 +48,20 @@
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DeepBackend {
     /// On-demand sparse staging: upper-triangle targets, per-pair
-    /// deadline certificates, dynamic shrinking search radius.
+    /// deadline certificates.
     /// Bit-identical to the staged oracle and hence to the GWT path;
     /// pinned wherever a check needs that identity.
     Ondemand,
-    /// The full per-row staged sweep (PR 8). Retained as the
-    /// differential oracle and fallback.
+    /// The full per-row staged sweep, which every backend also stages
+    /// the DP band (`k ≤ DP_NODE_LIMIT`) with; selecting it runs the
+    /// sweep on deep shots as well. The differential oracle.
     Staged,
     /// Price-and-repair staging: each fired detector searches until it
     /// has settled its 4 nearest fired detectors, the whole shot is
     /// solved once with every unsearched pair at its via-boundary
     /// weight, and the pairs the final duals flag are resolved exactly
-    /// and re-solved until none is flagged. The default: on
-    /// `ler-d15-deep` it decodes about 5× faster than the graph-native
-    /// ball-growing engine it replaced. **Not bit-identical** to the
+    /// and re-solved until none is flagged. The default. **Not
+    /// bit-identical** to the
     /// other backends — a pair settled from its higher slot rounds its
     /// f64 sum differently, and equal-weight matchings may tie-break
     /// differently — but the loop's exit certifies each shot optimal

@@ -41,6 +41,16 @@ impl std::fmt::Display for EdgeKind {
     }
 }
 
+/// One CSR adjacency entry: an internal edge as seen from one endpoint,
+/// with its weight and observable mask inlined, so a relaxation scans
+/// one contiguous row instead of chasing edge indices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdjEntry {
+    pub(crate) nbr: u32,
+    pub(crate) obs: u32,
+    pub(crate) weight: f64,
+}
+
 /// One weighted edge of a [`MatchingGraph`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
@@ -77,13 +87,19 @@ pub struct MatchingGraph {
     num_detectors: usize,
     num_observables: usize,
     edges: Vec<Edge>,
-    /// Adjacency: for each detector, indices into `edges`.
-    adjacency: Vec<Vec<u32>>,
+    /// CSR adjacency over internal edges: detector `u`'s row is
+    /// `adj[adj_head[u]..adj_head[u + 1]]`, in edge order. Every
+    /// shortest-path search of the crate scans these rows.
+    adj_head: Vec<u32>,
+    adj: Vec<AdjEntry>,
+    /// Each detector's boundary edge, as an index into `edges`
+    /// (`u32::MAX` = none).
+    boundary: Vec<u32>,
     coords: Vec<DetectorCoord>,
     /// Mechanisms whose symptom sets required decomposition into edges.
     decomposed_mechanisms: usize,
-    /// The GWT-free search index, built on first use and shared by every
-    /// local weight provider over this graph (see [`GraphIndex`]).
+    /// The GWT-free lower-bound index, built on first use and shared by
+    /// every local weight provider over this graph (see [`GraphIndex`]).
     local_index: OnceLock<GraphIndex>,
 }
 
@@ -186,26 +202,47 @@ impl MatchingGraph {
             .collect();
         edges.sort_by_key(Edge::key);
 
-        let mut adjacency = vec![Vec::new(); dem.num_detectors()];
+        let n = dem.num_detectors();
+        let mut boundary = vec![u32::MAX; n];
+        let mut half = Vec::new();
         for (i, e) in edges.iter().enumerate() {
-            adjacency[e.u as usize].push(i as u32);
-            if let Some(v) = e.v {
-                adjacency[v as usize].push(i as u32);
+            let Some(v) = e.v else {
+                boundary[e.u as usize] = i as u32;
+                continue;
+            };
+            for (a, b) in [(e.u, v), (v, e.u)] {
+                let entry = AdjEntry {
+                    nbr: b,
+                    obs: e.observables,
+                    weight: e.weight,
+                };
+                half.push((a, entry));
             }
+        }
+        // Stable, so each row keeps edge order.
+        half.sort_by_key(|&(a, _)| a);
+        let mut adj_head = vec![0u32; n + 1];
+        for &(a, _) in &half {
+            adj_head[a as usize + 1] += 1;
+        }
+        for u in 0..n {
+            adj_head[u + 1] += adj_head[u];
         }
 
         MatchingGraph {
-            num_detectors: dem.num_detectors(),
+            num_detectors: n,
             num_observables: dem.num_observables(),
             edges,
-            adjacency,
+            adj_head,
+            adj: half.into_iter().map(|(_, entry)| entry).collect(),
+            boundary,
             coords,
             decomposed_mechanisms: decomposed,
             local_index: OnceLock::new(),
         }
     }
 
-    /// The syndrome-independent search index the GWT-free weight
+    /// The syndrome-independent lower-bound index the GWT-free weight
     /// providers read, built on the first call and shared afterwards, so
     /// graph construction never pays for it and every provider over this
     /// graph borrows one copy.
@@ -234,10 +271,23 @@ impl MatchingGraph {
         &self.edges
     }
 
-    /// Edge indices incident to a detector (including its boundary edge, if
-    /// any).
-    pub fn incident_edges(&self, detector: u32) -> &[u32] {
-        &self.adjacency[detector as usize]
+    /// The adjacency row of detector `u`: its internal edges, in edge
+    /// order.
+    #[inline]
+    pub(crate) fn adj(&self, u: u32) -> &[AdjEntry] {
+        &self.adj[self.adj_head[u as usize] as usize..self.adj_head[u as usize + 1] as usize]
+    }
+
+    /// Index into [`Self::edges`] of the internal edge joining `a` and
+    /// `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` are not adjacent.
+    pub(crate) fn edge_index(&self, a: u32, b: u32) -> u32 {
+        self.edges
+            .binary_search_by_key(&(a.min(b), a.max(b)), Edge::key)
+            .expect("adjacent detectors share an edge") as u32
     }
 
     /// The space-time coordinate of a detector.
@@ -249,13 +299,10 @@ impl MatchingGraph {
     /// adjacency order. Boundary edges are skipped (see
     /// [`Self::boundary_edge`]).
     pub fn neighbors(&self, detector: u32) -> impl Iterator<Item = (u32, &Edge)> + '_ {
-        self.adjacency[detector as usize]
-            .iter()
-            .filter_map(move |&i| {
-                let e = &self.edges[i as usize];
-                let v = e.v?;
-                Some((if e.u == detector { v } else { e.u }, e))
-            })
+        self.adj(detector).iter().map(move |a| {
+            let e = &self.edges[self.edge_index(detector, a.nbr) as usize];
+            (a.nbr, e)
+        })
     }
 
     /// All boundary edges (errors flipping a single detector), in
@@ -271,10 +318,15 @@ impl MatchingGraph {
 
     /// The boundary edge of a detector, if it has one.
     pub fn boundary_edge(&self, detector: u32) -> Option<&Edge> {
-        self.adjacency[detector as usize]
-            .iter()
-            .map(|&i| &self.edges[i as usize])
-            .find(|e| e.v.is_none() && e.u == detector)
+        self.boundary_index(detector)
+            .map(|i| &self.edges[i as usize])
+    }
+
+    /// Index into [`Self::edges`] of a detector's boundary edge, if it has
+    /// one.
+    pub(crate) fn boundary_index(&self, detector: u32) -> Option<u32> {
+        let i = self.boundary[detector as usize];
+        (i != u32::MAX).then_some(i)
     }
 
     /// Classifies an edge as a space, time, space-time, or boundary event
@@ -408,7 +460,7 @@ mod tests {
         let g = graph(3, 1e-3);
         for det in 0..g.num_detectors() as u32 {
             assert!(
-                !g.incident_edges(det).is_empty(),
+                g.neighbors(det).next().is_some() || g.boundary_edge(det).is_some(),
                 "detector {det} is isolated"
             );
         }

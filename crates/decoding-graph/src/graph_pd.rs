@@ -12,8 +12,8 @@
 //! [`stage_graph_pd`](crate::LocalWeightProvider::stage_graph_pd), the
 //! rest in the decoder's deep solve:
 //!
-//! 1. **Seed.** One capped Dijkstra per fired detector, the relaxation
-//!    loop of [`stage`](crate::LocalWeightProvider::stage). It stops once
+//! 1. **Seed.** One capped Dijkstra per fired detector, on the search
+//!    kernel of [`stage`](crate::LocalWeightProvider::stage). It stops once
 //!    it has settled its `SEED_NEIGHBOURS` (4) nearest fired detectors, or
 //!    once its frontier passes `bᵢ + max b` (in both weight domains), the
 //!    largest dominance bound any of its pairs can have. A settled

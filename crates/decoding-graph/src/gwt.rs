@@ -1,9 +1,8 @@
 //! The Global Weight Table (paper §5.1).
 
+use crate::dijkstra::Dijkstra;
 use crate::graph::MatchingGraph;
 use crate::local::BoundaryTable;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Fixed-point subunits per unit of `−log₁₀ P` weight in the 8-bit
 /// quantization (Q5.3: resolution 0.125, maximum representable weight
@@ -74,39 +73,22 @@ impl GlobalWeightTable {
         // paths may not hop through the boundary: matching both endpoints
         // to the boundary is a separate option decoders take via the
         // diagonal weights). Distances carry the observable parity of the
-        // shortest path.
-        let mut dist = vec![f64::INFINITY; n];
-        let mut parity = vec![0u32; n];
+        // shortest path; unreachable pairs keep `INFINITY`.
+        let mut search = Dijkstra::new(n);
         for src in 0..n {
-            dist.fill(f64::INFINITY);
-            parity.fill(0);
-            dist[src] = 0.0;
-            let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-            heap.push(Reverse((OrdF64(0.0), src as u32)));
-            while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-                if d > dist[u as usize] {
-                    continue;
-                }
-                for &ei in graph.incident_edges(u) {
-                    let e = &graph.edges()[ei as usize];
-                    let Some(v) = e.v else { continue };
-                    let w = if e.u == u { v } else { e.u };
-                    let nd = d + e.weight;
-                    if nd < dist[w as usize] {
-                        dist[w as usize] = nd;
-                        parity[w as usize] = parity[u as usize] ^ e.observables;
-                        heap.push(Reverse((OrdF64(nd), w)));
-                    }
-                }
-            }
-            for dst in 0..n {
-                if dst == src {
-                    continue;
-                }
-                gwt.exact[src * n + dst] = dist[dst];
-                gwt.obs[src * n + dst] = parity[dst];
-                gwt.quantized[src * n + dst] = quantize(dist[dst], scale);
-            }
+            let row = src * n;
+            search.run(
+                graph,
+                [(src as u32, 0.0, 0)],
+                f64::INFINITY,
+                |u, d, parity| {
+                    let at = row + u as usize;
+                    gwt.exact[at] = d;
+                    gwt.obs[at] = parity;
+                    gwt.quantized[at] = quantize(d, scale);
+                    true
+                },
+            );
         }
 
         // Boundary weights on the diagonal come from the shared
@@ -342,23 +324,6 @@ pub fn quantize(weight: f64, scale: f64) -> u8 {
         return u8::MAX;
     }
     (weight * scale).round().clamp(0.0, u8::MAX as f64) as u8
-}
-
-/// Total-ordered f64 for the Dijkstra heap (weights are never NaN).
-/// Shared with the local provider so both heaps order identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub(crate) f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 #[cfg(test)]

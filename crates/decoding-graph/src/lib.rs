@@ -32,6 +32,7 @@
 
 mod context;
 mod decoder;
+mod dijkstra;
 mod graph;
 pub mod graph_pd;
 mod gwt;

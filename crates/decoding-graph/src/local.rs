@@ -13,8 +13,10 @@
 //! **Bit-identity contract.** Every staged entry is either *bit-identical*
 //! to the corresponding Global Weight Table entry, or `f64::INFINITY` for
 //! a pair whose true weight provably exceeds every threshold a decoder
-//! compares it against (see [`LocalWeightProvider::stage`]). The decode
-//! paths in `blossom-mwpm` only ever compare pair weights against
+//! compares it against (see [`LocalWeightProvider::stage`]). Staging and
+//! the table's row build run the crate's one Dijkstra kernel, so a
+//! settled entry equals the table's by construction. The decode paths in
+//! `blossom-mwpm` only ever compare pair weights against
 //! boundary-sum alternatives, so a dominated `INFINITY` and the true
 //! (large) value take the same branch everywhere — predictions and
 //! matchings are bit-identical to the GWT path, which CI enforces with a
@@ -24,56 +26,17 @@
 //! rather than bit-identical (see the [`graph_pd`](crate::graph_pd)
 //! module docs).
 
+use crate::dijkstra::Dijkstra;
 use crate::graph::MatchingGraph;
 use crate::graph_pd::{GraphPdScratch, Unsearched, SEED_NEIGHBOURS};
-use crate::gwt::{quantize, OrdF64, DEFAULT_WEIGHT_SCALE};
+use crate::gwt::{quantize, DEFAULT_WEIGHT_SCALE};
 use crate::ondemand::OndemandScratch;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Number of ALT landmarks a [`LocalWeightProvider`] precomputes
 /// (farthest-point sampled; clamped to the detector count on tiny
 /// graphs). 16 keeps the per-pair filter at a few dozen subtractions and
 /// the table under 2 MB even at d = 31 — `O(ℓ)`, built once per graph.
 const NUM_LANDMARKS: usize = 16;
-
-/// Packed per-node Dijkstra state: distance, stamp, and path parity in
-/// one 16-byte record, so a relaxation's stamp check, distance compare,
-/// and parity read all hit a single cache line instead of three arrays.
-#[derive(Debug, Clone, Copy)]
-struct NodeState {
-    dist: f64,
-    stamp: u32,
-    parity: u32,
-}
-
-/// One CSR adjacency entry: an internal edge as seen from one endpoint,
-/// with its weight and observable mask inlined. Packing these (in
-/// `incident_edges` order, boundary edges dropped) turns the hot
-/// relaxation scan into one sequential read instead of the
-/// `incident_edges → edges()[ei]` double indirection, while visiting the
-/// exact same edges in the exact same order — relaxation order, and
-/// hence every settled bit, is unchanged.
-#[derive(Debug, Clone, Copy)]
-struct AdjEntry {
-    nbr: u32,
-    obs: u32,
-    weight: f64,
-}
-
-/// Order-isomorphic heap key: distances are nonnegative and finite, so
-/// the IEEE bit pattern orders exactly as the value and
-/// `(bits(d) << 32) | node` compares as the lexicographic pair
-/// `(d, node)` — one integer compare per heap operation, same pop order.
-#[inline]
-fn heap_key(d: f64, node: u32) -> u128 {
-    ((d.to_bits() as u128) << 32) | node as u128
-}
-
-#[inline]
-fn heap_key_dist(key: u128) -> f64 {
-    f64::from_bits((key >> 32) as u64)
-}
 
 /// Which engine produced the currently staged block. The flavors fill
 /// different cell subsets (full rows, upper-triangle on demand, met
@@ -140,32 +103,16 @@ impl BoundaryTable {
         let n = graph.num_detectors();
         let mut weight = vec![f64::INFINITY; n];
         let mut obs = vec![0u32; n];
-        let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-        for det in 0..n as u32 {
-            if let Some(be) = graph.boundary_edge(det) {
-                if be.weight < weight[det as usize] {
-                    weight[det as usize] = be.weight;
-                    obs[det as usize] = be.observables;
-                    heap.push(Reverse((OrdF64(be.weight), det)));
-                }
-            }
-        }
-        while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-            if d > weight[u as usize] {
-                continue;
-            }
-            for &ei in graph.incident_edges(u) {
-                let e = &graph.edges()[ei as usize];
-                let Some(v) = e.v else { continue };
-                let w = if e.u == u { v } else { e.u };
-                let nd = d + e.weight;
-                if nd < weight[w as usize] {
-                    weight[w as usize] = nd;
-                    obs[w as usize] = obs[u as usize] ^ e.observables;
-                    heap.push(Reverse((OrdF64(nd), w)));
-                }
-            }
-        }
+        let seeds = (0..n as u32).filter_map(|det| {
+            graph
+                .boundary_edge(det)
+                .map(|be| (det, be.weight, be.observables))
+        });
+        Dijkstra::new(n).run(graph, seeds, f64::INFINITY, |u, d, parity| {
+            weight[u as usize] = d;
+            obs[u as usize] = parity;
+            true
+        });
         let quantized = weight.iter().map(|&w| quantize(w, scale)).collect();
         BoundaryTable {
             weight,
@@ -206,6 +153,17 @@ impl BoundaryTable {
     #[inline]
     pub fn weight_q(&self, i: u32) -> u8 {
         self.quantized[i as usize]
+    }
+
+    /// The dominance bound of a pair, `max(bₐ + b_b, (qbₐ + qb_b + 1)/scale)`:
+    /// past it, matching both detectors to the boundary wins in both
+    /// weight domains (the quantized bound is padded by one subunit so
+    /// rounding can never under-settle).
+    #[inline]
+    pub(crate) fn pair_bound(&self, a: u32, b: u32) -> f64 {
+        let exact_bound = self.weight(a) + self.weight(b);
+        let quant_bound = (self.weight_q(a) as f64 + self.weight_q(b) as f64 + 1.0) / self.scale;
+        exact_bound.max(quant_bound)
     }
 }
 
@@ -262,13 +220,12 @@ impl LocalWeightStats {
     }
 }
 
-/// The syndrome-independent part of GWT-free staging: the coordinate
-/// lower-bound slopes, the ALT landmark rows and the packed CSR
-/// adjacency. It depends on the graph alone, so the
-/// [`MatchingGraph`] owns one, built on first use, and every
-/// [`LocalWeightProvider`] over that graph borrows it: a pool of decoders
-/// pays for the landmark Dijkstras and the adjacency copy once, not once
-/// per decoder, and building a context pays nothing.
+/// The syndrome-independent lower bounds of GWT-free staging: the
+/// coordinate slopes and the ALT landmark rows. It depends on the graph
+/// alone, so the [`MatchingGraph`] owns one, built on first use, and
+/// every [`LocalWeightProvider`] over that graph borrows it: a pool of
+/// decoders pays for the landmark Dijkstras once, not once per decoder,
+/// and a GWT context never builds it.
 #[derive(Debug, Clone)]
 pub(crate) struct GraphIndex {
     /// Minimum edge weight per unit of Chebyshev lattice displacement
@@ -287,14 +244,11 @@ pub(crate) struct GraphIndex {
     /// GWT-free footprint story is unchanged. Graphs with fewer detectors
     /// than landmarks pad the rows with `NaN`, which both bounds discard.
     land: Vec<[f64; NUM_LANDMARKS]>,
-    // CSR adjacency over internal edges, `incident_edges` order.
-    adj_head: Vec<u32>,
-    adj: Vec<AdjEntry>,
 }
 
 impl GraphIndex {
     /// Computes the index of a graph: one pass over the edges for the
-    /// slopes and the adjacency, one Dijkstra per landmark.
+    /// slopes, one Dijkstra per landmark.
     pub(crate) fn build(graph: &MatchingGraph) -> GraphIndex {
         let n = graph.num_detectors();
         // Lower-bound slopes: every internal edge moving r lattice units
@@ -334,30 +288,16 @@ impl GraphIndex {
         let num_land = n.min(NUM_LANDMARKS);
         let mut land = vec![[f64::NAN; NUM_LANDMARKS]; n];
         if num_land > 0 {
+            let mut search = Dijkstra::new(n);
             let mut dist = vec![f64::INFINITY; n];
             let mut mindist = vec![f64::INFINITY; n];
-            let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
             let mut seed = 0u32;
             for l in 0..num_land {
-                dist.iter_mut().for_each(|d| *d = f64::INFINITY);
-                dist[seed as usize] = 0.0;
-                heap.clear();
-                heap.push(Reverse((OrdF64(0.0), seed)));
-                while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-                    if d > dist[u as usize] {
-                        continue;
-                    }
-                    for &ei in graph.incident_edges(u) {
-                        let e = &graph.edges()[ei as usize];
-                        let Some(v) = e.v else { continue };
-                        let w = if e.u == u { v } else { e.u };
-                        let nd = d + e.weight;
-                        if nd < dist[w as usize] {
-                            dist[w as usize] = nd;
-                            heap.push(Reverse((OrdF64(nd), w)));
-                        }
-                    }
-                }
+                dist.fill(f64::INFINITY);
+                search.run(graph, [(seed, 0.0, 0)], f64::INFINITY, |u, d, _| {
+                    dist[u as usize] = d;
+                    true
+                });
                 // Next seed: the detector farthest (in graph metric) from
                 // every landmark chosen so far; unreachable components
                 // sort first so each gets its own landmark. Ties break to
@@ -374,34 +314,11 @@ impl GraphIndex {
                 seed = best.1;
             }
         }
-        let mut adj_head = Vec::with_capacity(n + 1);
-        let mut adj = Vec::new();
-        adj_head.push(0u32);
-        for u in 0..n as u32 {
-            for &ei in graph.incident_edges(u) {
-                let e = &graph.edges()[ei as usize];
-                let Some(v) = e.v else { continue };
-                adj.push(AdjEntry {
-                    nbr: if e.u == u { v } else { e.u },
-                    obs: e.observables,
-                    weight: e.weight,
-                });
-            }
-            adj_head.push(adj.len() as u32);
-        }
         GraphIndex {
             space_cost: deflate(space),
             time_cost: deflate(time),
             land,
-            adj_head,
-            adj,
         }
-    }
-
-    /// Adjacency entries of node `u`.
-    #[inline]
-    fn adj(&self, u: u32) -> &[AdjEntry] {
-        &self.adj[self.adj_head[u as usize] as usize..self.adj_head[u as usize + 1] as usize]
     }
 
     /// ALT landmark lower bound on the shortest-path weight: the triangle
@@ -433,18 +350,16 @@ impl GraphIndex {
 /// shortest-path weight (bit-identical to the Global Weight Table entry)
 /// or `INFINITY` when the pair is provably dominated. All scratch is
 /// stamped and reused: zero steady-state allocations once warm. One
-/// provider lives inside each per-worker decoder; the graph's search
-/// index is shared by all of them.
+/// provider lives inside each per-worker decoder; the graph's adjacency
+/// and lower-bound index are shared by all of them.
 #[derive(Debug, Clone)]
 pub struct LocalWeightProvider<'a> {
     graph: &'a MatchingGraph,
     boundary: &'a BoundaryTable,
-    /// The graph's shared search index (slopes, landmarks, adjacency).
+    /// The graph's shared lower-bound index (slopes, landmarks).
     index: &'a GraphIndex,
-    // Stamped Dijkstra state over the whole graph (O(ℓ), reused).
-    node: Vec<NodeState>,
-    epoch: u32,
-    heap: BinaryHeap<Reverse<u128>>,
+    /// Stamped Dijkstra scratch over the whole graph (O(ℓ), reused).
+    dijkstra: Dijkstra,
     // The staged k×k block for the current detector list.
     dets: Vec<u32>,
     slot: Vec<u32>,
@@ -466,8 +381,8 @@ pub struct LocalWeightProvider<'a> {
 
 impl<'a> LocalWeightProvider<'a> {
     /// Creates a provider over a matching graph and its boundary table.
-    /// The graph's search index is built on the first call for a graph
-    /// and shared by every later provider over it.
+    /// The graph's lower-bound index is built on the first call for a
+    /// graph and shared by every later provider over it.
     ///
     /// # Panics
     ///
@@ -484,16 +399,7 @@ impl<'a> LocalWeightProvider<'a> {
             graph,
             boundary,
             index: graph.local_index(),
-            node: vec![
-                NodeState {
-                    dist: f64::INFINITY,
-                    stamp: 0,
-                    parity: 0,
-                };
-                n
-            ],
-            epoch: 0,
-            heap: BinaryHeap::new(),
+            dijkstra: Dijkstra::new(n),
             dets: Vec::new(),
             slot: vec![0; n],
             slot_stamp: vec![0; n],
@@ -530,8 +436,8 @@ impl<'a> LocalWeightProvider<'a> {
     ///
     /// After staging, entry `(i, j)` of the block is the weight of the
     /// cheapest error chain from `dets[i]` to `dets[j]` as found by a
-    /// Dijkstra expansion *from* `dets[i]` — relaxation-for-relaxation
-    /// the same loop that fills GWT row `dets[i]`, so settled values are
+    /// Dijkstra search *from* `dets[i]` — the crate's one search kernel,
+    /// which also fills GWT row `dets[i]`, so settled values are
     /// bit-identical to the table's. A search from `i` may stop early:
     /// any target `j` whose distance exceeds
     /// `max(bᵢ + bⱼ, (qbᵢ + qbⱼ + 1)/scale)` is left at `INFINITY`.
@@ -561,13 +467,9 @@ impl<'a> LocalWeightProvider<'a> {
     fn expand(&mut self, i: usize) {
         let k = self.dets.len();
         let src = self.dets[i];
-        let b_src = self.boundary.weight(src);
-        let qb_src = self.boundary.weight_q(src) as f64;
-        let scale = self.boundary.scale();
         // Per-target settle bounds: a pair is only interesting while it
-        // can beat boundary-plus-boundary in *either* weight domain. The
-        // quantized bound is padded by one subunit so rounding can never
-        // under-settle; over-settling is always sound.
+        // can beat boundary-plus-boundary in *either* weight domain;
+        // over-settling is always sound.
         self.bound.clear();
         self.bound.resize(k, f64::NAN);
         let mut radius = f64::NEG_INFINITY;
@@ -577,9 +479,7 @@ impl<'a> LocalWeightProvider<'a> {
                 continue;
             }
             let dst = self.dets[j];
-            let exact_bound = b_src + self.boundary.weight(dst);
-            let quant_bound = (qb_src + self.boundary.weight_q(dst) as f64 + 1.0) / scale;
-            let b = exact_bound.max(quant_bound);
+            let b = self.boundary.pair_bound(src, dst);
             if self.lower_bound(src, dst) > b * (1.0 + 1e-9) + 1e-9 {
                 // Even the coordinate lower bound on the path weight
                 // exceeds the settle bound: dominated, never searched.
@@ -594,67 +494,33 @@ impl<'a> LocalWeightProvider<'a> {
             return;
         }
         self.stats.expansions += 1;
-        // Relaxation-for-relaxation identical to the GWT's per-source
-        // pass: Dijkstra settles nodes in nondecreasing distance, so a
-        // truncated run is a prefix of the full run and every settled
-        // distance/parity is the full run's value, bit for bit.
-        let stamp = self.bump_node_epoch();
-        self.node[src as usize] = NodeState {
-            dist: 0.0,
-            stamp,
-            parity: 0,
-        };
-        self.heap.clear();
-        self.heap.push(Reverse(heap_key(0.0, src)));
-        while let Some(Reverse(key)) = self.heap.pop() {
-            let d = heap_key_dist(key);
-            let u = key as u32;
-            if d > radius {
-                break;
-            }
-            let nu = self.node[u as usize];
-            if nu.stamp != stamp || d > nu.dist {
-                continue;
-            }
-            self.stats.settled += 1;
-            if u != src && self.slot_stamp[u as usize] == self.slot_epoch {
-                let j = self.slot[u as usize] as usize;
-                let cell = &mut self.weights[i * k + j];
-                if cell.is_infinite() {
-                    *cell = d;
-                    self.obs[i * k + j] = nu.parity;
-                    if !self.bound[j].is_nan() {
-                        remaining -= 1;
-                        if remaining == 0 {
-                            break;
+        self.dijkstra
+            .run(self.graph, [(src, 0.0, 0)], radius, |u, d, parity| {
+                self.stats.settled += 1;
+                if u != src && self.slot_stamp[u as usize] == self.slot_epoch {
+                    let j = self.slot[u as usize] as usize;
+                    let cell = &mut self.weights[i * k + j];
+                    if cell.is_infinite() {
+                        *cell = d;
+                        self.obs[i * k + j] = parity;
+                        if !self.bound[j].is_nan() {
+                            remaining -= 1;
+                            return remaining > 0;
                         }
                     }
                 }
-            }
-            for &e in self.index.adj(u) {
-                let nd = d + e.weight;
-                let nw = &mut self.node[e.nbr as usize];
-                if nw.stamp != stamp || nd < nw.dist {
-                    *nw = NodeState {
-                        dist: nd,
-                        stamp,
-                        parity: nu.parity ^ e.obs,
-                    };
-                    self.heap.push(Reverse(heap_key(nd, e.nbr)));
-                }
-            }
-        }
+                true
+            });
     }
 
     /// Stages the pair-weight block for one detector list with the
     /// on-demand engine: upper-triangle targets only, per-pair deadline
-    /// certificates, dynamic shrinking radius (see the
-    /// [`ondemand`](crate::ondemand) module docs). Every cell a decoder
-    /// reads holds exactly the value [`stage`](Self::stage) would have
-    /// put there: settled entries come from the identical relaxation
-    /// loop, and the extra `INFINITY` entries are all certified
-    /// dominated, the same substitution `stage` already relies on for
-    /// its radius truncation.
+    /// certificates (see the [`ondemand`](crate::ondemand) module docs).
+    /// Every cell a decoder reads holds exactly the value
+    /// [`stage`](Self::stage) would have put there: settled entries come
+    /// from the same search kernel, and the extra `INFINITY` entries are
+    /// all certified dominated, the same substitution `stage` already
+    /// relies on for its radius truncation.
     ///
     /// Restaging the identical list on demand is a memoized no-op; the
     /// memo is keyed by staging flavor, so a block staged by `stage`
@@ -683,18 +549,13 @@ impl<'a> LocalWeightProvider<'a> {
     fn expand_ondemand(&mut self, i: usize, od: &mut OndemandScratch) {
         let k = self.dets.len();
         let src = self.dets[i];
-        let b_src = self.boundary.weight(src);
-        let qb_src = self.boundary.weight_q(src) as f64;
-        let scale = self.boundary.scale();
         // Same per-target settle bounds and coordinate exclusion as
         // `expand`, restricted to the upper triangle, kept as a deadline
         // queue sorted ascending by bound.
         od.deadlines.clear();
         for j in (i + 1)..k {
             let dst = self.dets[j];
-            let exact_bound = b_src + self.boundary.weight(dst);
-            let quant_bound = (qb_src + self.boundary.weight_q(dst) as f64 + 1.0) / scale;
-            let b = exact_bound.max(quant_bound);
+            let b = self.boundary.pair_bound(src, dst);
             let cutoff = b * (1.0 + 1e-9) + 1e-9;
             if self.lower_bound(src, dst) > cutoff || self.index.landmark_bound(src, dst) > cutoff {
                 od.stats.excluded += 1;
@@ -714,92 +575,50 @@ impl<'a> LocalWeightProvider<'a> {
         }
         let mut remaining = od.deadlines.len();
         // All deadlines before `cursor` are resolved (settled or
-        // expired); `tail` tracks the largest unresolved bound — the
-        // active radius, which only shrinks as targets resolve.
+        // expired). No target's bound lies past the last deadline.
         let mut cursor = 0usize;
-        let mut tail = od.deadlines.len() - 1;
+        let radius = od.deadlines[remaining - 1].0;
         od.stats.regions += 1;
-        // The relaxation loop is `expand`'s, relaxation for relaxation:
-        // same heap order `(distance, node)`, same strict-`<` rule, so
-        // every settled distance and parity is bit-identical.
-        let stamp = self.bump_node_epoch();
-        self.node[src as usize] = NodeState {
-            dist: 0.0,
-            stamp,
-            parity: 0,
-        };
-        self.heap.clear();
-        self.heap.push(Reverse(heap_key(0.0, src)));
-        while let Some(Reverse(key)) = self.heap.pop() {
-            let d = heap_key_dist(key);
-            let u = key as u32;
-            // Expire deadlines the frontier has passed: settles are
-            // nondecreasing in distance, so `bound < d` with the target
-            // unsettled proves its distance exceeds its bound —
-            // dominated, leave `INFINITY`.
-            while cursor < od.deadlines.len() && od.deadlines[cursor].0 < d {
-                if !od.resolved[cursor] {
-                    od.resolved[cursor] = true;
-                    od.pos[od.deadlines[cursor].1 as usize] = u32::MAX;
-                    od.stats.deadline_pruned += 1;
-                    remaining -= 1;
+        self.dijkstra
+            .run(self.graph, [(src, 0.0, 0)], radius, |u, d, parity| {
+                // Expire deadlines the frontier has passed: settles are
+                // nondecreasing in distance, so `bound < d` with the target
+                // unsettled proves its distance exceeds its bound —
+                // dominated, leave `INFINITY`.
+                while cursor < od.deadlines.len() && od.deadlines[cursor].0 < d {
+                    if !od.resolved[cursor] {
+                        od.resolved[cursor] = true;
+                        od.pos[od.deadlines[cursor].1 as usize] = u32::MAX;
+                        od.stats.deadline_pruned += 1;
+                        remaining -= 1;
+                    }
+                    cursor += 1;
                 }
-                cursor += 1;
-            }
-            if remaining == 0 {
-                break;
-            }
-            while od.resolved[tail] {
-                tail -= 1;
-            }
-            let radius = od.deadlines[tail].0;
-            let nu = self.node[u as usize];
-            if nu.stamp != stamp || d > nu.dist {
-                continue;
-            }
-            od.stats.settled += 1;
-            if u != src && self.slot_stamp[u as usize] == self.slot_epoch {
-                let j = self.slot[u as usize] as usize;
-                let p = od.pos[j];
-                if p != u32::MAX {
-                    // An active target settled within its bound: record
-                    // the exact pair edge (and its mirror).
-                    self.weights[i * k + j] = d;
-                    self.obs[i * k + j] = nu.parity;
-                    self.weights[j * k + i] = d;
-                    self.obs[j * k + i] = nu.parity;
-                    od.resolved[p as usize] = true;
-                    od.pos[j] = u32::MAX;
-                    od.stats.collisions += 1;
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break;
+                if remaining == 0 {
+                    return false;
+                }
+                od.stats.settled += 1;
+                if u != src && self.slot_stamp[u as usize] == self.slot_epoch {
+                    let j = self.slot[u as usize] as usize;
+                    let p = od.pos[j];
+                    if p != u32::MAX {
+                        // An active target settled within its bound: record
+                        // the exact pair edge (and its mirror).
+                        self.weights[i * k + j] = d;
+                        self.obs[i * k + j] = parity;
+                        self.weights[j * k + i] = d;
+                        self.obs[j * k + i] = parity;
+                        od.resolved[p as usize] = true;
+                        od.pos[j] = u32::MAX;
+                        od.stats.collisions += 1;
+                        remaining -= 1;
+                        return remaining > 0;
                     }
                 }
-            }
-            for &e in self.index.adj(u) {
-                let nd = d + e.weight;
-                let nw = &mut self.node[e.nbr as usize];
-                if nw.stamp != stamp || nd < nw.dist {
-                    *nw = NodeState {
-                        dist: nd,
-                        stamp,
-                        parity: nu.parity ^ e.obs,
-                    };
-                    // Nodes beyond the active radius can never settle
-                    // (the radius only shrinks), so their heap entries
-                    // would only ever be popped dead — skip the push.
-                    // Their recorded distance stays live: a later,
-                    // cheaper relaxation re-enters through the same
-                    // strict-`<` test exactly as in `expand`.
-                    if nd <= radius {
-                        self.heap.push(Reverse(heap_key(nd, e.nbr)));
-                    }
-                }
-            }
-        }
-        // Targets the frontier never reached (heap drained first) are
-        // dominated by the same certificate: clear their queue slots.
+                true
+            });
+        // Targets the frontier never reached are dominated by the same
+        // certificate: clear their queue slots.
         for p in cursor..od.deadlines.len() {
             if !od.resolved[p] {
                 od.resolved[p] = true;
@@ -813,10 +632,10 @@ impl<'a> LocalWeightProvider<'a> {
     /// deep-tail engine [`DeepBackend::GraphPd`] (see the
     /// [`graph_pd`](crate::graph_pd) module docs for the whole loop).
     ///
-    /// One capped Dijkstra per fired detector, the relaxation loop of
-    /// [`stage`](Self::stage), stops after its 4 nearest fired detectors
-    /// (`SEED_NEIGHBOURS`) or past its largest dominance bound. Afterwards each
-    /// cell of the block is one of three things:
+    /// One capped search per fired detector, on the kernel
+    /// [`stage`](Self::stage) uses, stops after its 4 nearest fired
+    /// detectors (`SEED_NEIGHBOURS`) or past its largest dominance bound.
+    /// Afterwards each cell of the block is one of three things:
     ///
     /// * an exact weight, from the search that settled the pair first
     ///   (the lower slot's when both did);
@@ -874,7 +693,7 @@ impl<'a> LocalWeightProvider<'a> {
                     continue;
                 }
                 let (a, b) = (dets[i], dets[j]);
-                let bound = self.pair_bound(a, b);
+                let bound = self.boundary.pair_bound(a, b);
                 if bound < self.frontier[i].max(self.frontier[j]) {
                     self.set_cell(i, j, f64::INFINITY, 0);
                     gp.stats.deadline_pruned += 1;
@@ -948,8 +767,10 @@ impl<'a> LocalWeightProvider<'a> {
             while end < flagged && self.pending[gp.flagged[end] as usize].i == i {
                 let u = self.pending[gp.flagged[end] as usize];
                 gp.want[u.j as usize] = gp.tag;
-                radius =
-                    radius.max(self.pair_bound(self.dets[i as usize], self.dets[u.j as usize]));
+                radius = radius.max(
+                    self.boundary
+                        .pair_bound(self.dets[i as usize], self.dets[u.j as usize]),
+                );
                 end += 1;
             }
             let (want, tag) = (&gp.want, gp.tag);
@@ -972,7 +793,7 @@ impl<'a> LocalWeightProvider<'a> {
             let w = self.weights[i * k + j];
             let resolved = if !w.is_nan() {
                 w.is_finite()
-            } else if self.pair_bound(self.dets[i], self.dets[j])
+            } else if self.boundary.pair_bound(self.dets[i], self.dets[j])
                 < self.frontier[i].max(self.frontier[j])
             {
                 self.set_cell(i, j, f64::INFINITY, 0);
@@ -993,9 +814,8 @@ impl<'a> LocalWeightProvider<'a> {
     }
 
     /// One capped Dijkstra from slot `i` for the price-and-repair engine,
-    /// relaxation for relaxation the loop of [`Self::expand`], so a pair
-    /// settled from its lower slot is bit-identical to the staged
-    /// oracle's. Each settled fired detector whose cell is still
+    /// on the kernel [`Self::expand`] uses, so a pair settled from its
+    /// lower slot is bit-identical to the staged oracle's. Each settled fired detector whose cell is still
     /// unsearched gets its exact distance, or `INFINITY` past its
     /// dominance bound. The search stops once it has settled `quota`
     /// detectors that `wanted` accepts, or once its frontier passes
@@ -1011,58 +831,31 @@ impl<'a> LocalWeightProvider<'a> {
     ) -> f64 {
         let k = self.dets.len();
         let src = self.dets[i];
-        let stamp = self.bump_node_epoch();
-        self.node[src as usize] = NodeState {
-            dist: 0.0,
-            stamp,
-            parity: 0,
-        };
-        self.heap.clear();
-        self.heap.push(Reverse(heap_key(0.0, src)));
-        while let Some(Reverse(key)) = self.heap.pop() {
-            let d = heap_key_dist(key);
-            let u = key as u32;
-            // The popped key is the smallest in the heap, so every node
-            // still unsettled is at least `d` away.
-            if d > radius {
-                return d;
-            }
-            let nu = self.node[u as usize];
-            if nu.stamp != stamp || d > nu.dist {
-                continue;
-            }
-            *settled += 1;
-            if u != src && self.slot_stamp[u as usize] == self.slot_epoch {
+        let bt = self.boundary;
+        self.dijkstra
+            .run(self.graph, [(src, 0.0, 0)], radius, |u, d, parity| {
+                *settled += 1;
+                if u == src || self.slot_stamp[u as usize] != self.slot_epoch {
+                    return true;
+                }
                 let j = self.slot[u as usize] as usize;
                 if self.weights[i * k + j].is_nan() {
-                    let w = if d <= self.pair_bound(src, u) {
+                    let w = if d <= bt.pair_bound(src, u) {
                         d
                     } else {
                         f64::INFINITY
                     };
-                    self.set_cell(i, j, w, nu.parity);
+                    self.weights[i * k + j] = w;
+                    self.weights[j * k + i] = w;
+                    self.obs[i * k + j] = parity;
+                    self.obs[j * k + i] = parity;
                 }
                 if wanted(j) {
                     quota -= 1;
-                    if quota == 0 {
-                        return d;
-                    }
+                    return quota > 0;
                 }
-            }
-            for &e in self.index.adj(u) {
-                let nd = d + e.weight;
-                let nw = &mut self.node[e.nbr as usize];
-                if nw.stamp != stamp || nd < nw.dist {
-                    *nw = NodeState {
-                        dist: nd,
-                        stamp,
-                        parity: nu.parity ^ e.obs,
-                    };
-                    self.heap.push(Reverse(heap_key(nd, e.nbr)));
-                }
-            }
-        }
-        f64::INFINITY
+                true
+            })
     }
 
     /// Writes a pair's weight and parity into both mirror cells.
@@ -1095,32 +888,6 @@ impl<'a> LocalWeightProvider<'a> {
         for i in 0..k {
             self.weights[i * k + i] = 0.0;
         }
-    }
-
-    /// The dominance bound of a pair, `max(bₐ + b_b, (qbₐ + qb_b + 1)/scale)`:
-    /// past it, matching both detectors to the boundary wins in both
-    /// weight domains (the quantized bound is padded by one subunit so
-    /// rounding can never under-settle).
-    #[inline]
-    fn pair_bound(&self, a: u32, b: u32) -> f64 {
-        let bt = self.boundary;
-        let exact_bound = bt.weight(a) + bt.weight(b);
-        let quant_bound = (bt.weight_q(a) as f64 + bt.weight_q(b) as f64 + 1.0) / bt.scale();
-        exact_bound.max(quant_bound)
-    }
-
-    /// Advances the Dijkstra stamp epoch, clearing stamps on wraparound.
-    fn bump_node_epoch(&mut self) -> u32 {
-        let next = self.epoch.wrapping_add(1);
-        self.epoch = if next == 0 {
-            for ns in &mut self.node {
-                ns.stamp = 0;
-            }
-            1
-        } else {
-            next
-        };
-        self.epoch
     }
 
     /// Coordinate lower bound on the shortest-path weight between two
@@ -1583,7 +1350,7 @@ mod tests {
                             let (a, b) = (dets[i], dets[j]);
                             let sv = staged.pair_weight(a, b);
                             let gv = graphpd.pair_weight(a, b);
-                            let bound = graphpd.pair_bound(a, b);
+                            let bound = bt.pair_bound(a, b);
                             assert_eq!(graphpd.pair_weight(b, a).to_bits(), gv.to_bits());
                             if gv.is_nan() {
                                 assert!(!repaired, "({a},{b}) unsearched after repair");

@@ -5,9 +5,7 @@
 //! one truncated Dijkstra per fired detector out to the *maximum* settle
 //! bound over all of its pair targets. At large distances that radius is
 //! dominated by the few far pairs of the giant bulk cluster, so every
-//! source search floods most of the lattice — `O(k · ℓ)` settles per shot
-//! and ~99 % of deep-tail decode time (measured: 367 ms of a 370 ms
-//! d = 31 shot is staging).
+//! source search floods most of the lattice: `O(k · ℓ)` settles per shot.
 //!
 //! [`stage_ondemand`](crate::LocalWeightProvider::stage_ondemand) keeps
 //! the block bit-compatible while touching a fraction of that graph, by
@@ -33,13 +31,11 @@
 //!   can be left `INFINITY` immediately (the same substitution argument
 //!   the staged path already relies on for its radius truncation, applied
 //!   per target instead of per row). Each search keeps a deadline queue of
-//!   its unresolved targets sorted by bound; the active radius is the
-//!   largest *unresolved* bound and shrinks as targets settle or expire,
-//!   and frontier pushes beyond it are skipped.
+//!   its unresolved targets sorted by bound, and stops once every
+//!   target has settled or expired.
 //!
-//! The settled entries themselves come from the identical relaxation loop
-//! `stage` uses — same heap order `(distance, node)`, same strict-`<`
-//! relaxation, same bound and exclusion formulas — so every value and
+//! The settled entries themselves come from the search kernel `stage`
+//! uses, with the same bound and exclusion formulas, so every value and
 //! parity the decoders consume is bit-identical to the staged (and GWT)
 //! path. CI enforces this differentially at d ∈ {3, 5, 7, 9} on top of
 //! the in-crate block-equivalence tests.

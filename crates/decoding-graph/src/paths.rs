@@ -9,9 +9,8 @@
 //! (§2.2: "errors are corrected using the shortest path between the parity
 //! qubits"). This module reconstructs those chains on demand.
 
+use crate::dijkstra::Dijkstra;
 use crate::graph::MatchingGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Reconstructs shortest correction chains over a matching graph.
 ///
@@ -47,102 +46,60 @@ impl<'a> PathReconstructor<'a> {
     /// `v`, or `None` if they are not connected without crossing the
     /// boundary.
     pub fn pair_path(&self, u: u32, v: u32) -> Option<Vec<u32>> {
-        self.dijkstra(u, Target::Node(v))
+        let mut search = Dijkstra::new(self.graph.num_detectors());
+        search.run(self.graph, [(u, 0.0, 0)], f64::INFINITY, |x, _, _| x != v);
+        search.reached(v)?;
+        Some(self.trace(&search, u, v))
     }
 
     /// The edge ids of the minimum-weight chain connecting detector `u` to
     /// the lattice boundary (ending in a boundary edge), or `None` if the
     /// graph has no boundary reachable from `u`.
     pub fn boundary_path(&self, u: u32) -> Option<Vec<u32>> {
-        self.dijkstra(u, Target::Boundary)
-    }
-
-    fn dijkstra(&self, src: u32, target: Target) -> Option<Vec<u32>> {
-        let n = self.graph.num_detectors();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut via: Vec<Option<u32>> = vec![None; n]; // edge used to reach node
-        dist[src as usize] = 0.0;
-        let mut heap: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((OrdF64(0.0), src)));
-
-        let mut best_boundary: Option<(f64, u32, u32)> = None; // (cost, node, boundary edge)
-        while let Some(Reverse((OrdF64(d), u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            if let Target::Node(t) = target {
-                if u == t {
-                    break;
+        let mut search = Dijkstra::new(self.graph.num_detectors());
+        let mut best: Option<(f64, u32, u32)> = None; // (cost, node, boundary edge)
+        search.run(self.graph, [(u, 0.0, 0)], f64::INFINITY, |x, d, _| {
+            if let Some(be) = self.graph.boundary_index(x) {
+                let cost = d + self.graph.edges()[be as usize].weight;
+                if best.is_none_or(|(c, _, _)| cost < c) {
+                    best = Some((cost, x, be));
                 }
             }
-            for &ei in self.graph.incident_edges(u) {
-                let e = &self.graph.edges()[ei as usize];
-                match e.v {
-                    None => {
-                        if matches!(target, Target::Boundary) {
-                            let cost = d + e.weight;
-                            if best_boundary.is_none_or(|(c, _, _)| cost < c) {
-                                best_boundary = Some((cost, u, ei));
-                            }
-                        }
-                    }
-                    Some(v) => {
-                        let w = if e.u == u { v } else { e.u };
-                        let nd = d + e.weight;
-                        if nd < dist[w as usize] {
-                            dist[w as usize] = nd;
-                            via[w as usize] = Some(ei);
-                            heap.push(Reverse((OrdF64(nd), w)));
-                        }
-                    }
-                }
-            }
-        }
-
-        let (mut cursor, mut path) = match target {
-            Target::Node(t) => {
-                if !dist[t as usize].is_finite() {
-                    return None;
-                }
-                (t, Vec::new())
-            }
-            Target::Boundary => {
-                let (_, node, edge) = best_boundary?;
-                (node, vec![edge])
-            }
-        };
-        while cursor != src {
-            let ei = via[cursor as usize].expect("reached node has a via edge");
-            path.push(ei);
-            let e = &self.graph.edges()[ei as usize];
-            cursor = if e.u == cursor {
-                e.v.expect("via edges are internal")
-            } else {
-                e.u
-            };
-        }
-        path.reverse();
+            true
+        });
+        let (_, node, edge) = best?;
+        let mut path = self.trace(&search, u, node);
+        path.push(edge);
         Some(path)
     }
-}
 
-#[derive(Debug, Clone, Copy)]
-enum Target {
-    Node(u32),
-    Boundary,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+    /// The edge ids of the chain from `src` to `to` in the shortest-path
+    /// tree of `search`, which settled `to`. A node's tree edge is the
+    /// one whose relaxation set its final distance. Relaxation replaces
+    /// only on strict `<` and settles run in `(distance, node)` order, so
+    /// that is the edge from the first-settled neighbour `x` with
+    /// `d(x) + w = d(to)`; only neighbours with a smaller key than `to`
+    /// settled before it.
+    fn trace(&self, search: &Dijkstra, src: u32, mut to: u32) -> Vec<u32> {
+        let mut path = Vec::new();
+        while to != src {
+            let d = search.reached(to).expect("traced node was reached");
+            let (_, prev) = self
+                .graph
+                .adj(to)
+                .iter()
+                .filter_map(|e| {
+                    let dx = search.reached(e.nbr)?;
+                    let key = (dx.to_bits(), e.nbr);
+                    (dx + e.weight == d && key < (d.to_bits(), to)).then_some(key)
+                })
+                .min()
+                .expect("a reached node has a tree edge");
+            path.push(self.graph.edge_index(prev, to));
+            to = prev;
+        }
+        path.reverse();
+        path
     }
 }
 
@@ -197,6 +154,17 @@ mod tests {
                         acc ^ ctx.graph().edges()[e as usize].observables
                     });
                     assert_eq!(obs, ctx.gwt().pair_obs(u, v), "({u},{v})");
+                    // Summed from `u` in path order, the chain's weight is
+                    // the table's distance bit for bit: both come from the
+                    // same relaxations.
+                    let weight = path
+                        .iter()
+                        .fold(0.0, |acc, &e| acc + ctx.graph().edges()[e as usize].weight);
+                    assert_eq!(
+                        weight.to_bits(),
+                        ctx.gwt().pair_weight(u, v).to_bits(),
+                        "({u},{v})"
+                    );
                     checked += 1;
                 }
             }

@@ -520,15 +520,17 @@ fn fig3(opts: &Options) {
         );
     }
     println!("\n(notes: both rows time decode_full, the production engine: closed form,");
-    println!(" staged subset DP, or cluster split + sparse blossom. The first row reads");
+    println!(" staged subset DP, or one whole-shot sparse blossom. The first row reads");
     println!(" the precomputed GWT, so its average case is far faster than the paper's");
     println!(" 2023-era BlossomV baseline, which missed 1 us on 96% of nonzero");
     println!(" syndromes; the qualitative point — a worst-case tail hundreds of times");
     println!(" the median, which no software decoder can bound — reproduces in both");
     println!(" rows. The GWT-free row is the same exact matcher with no table: it");
-    println!(" stages each shot's pair weights by truncated Dijkstra on the O(edges)");
-    println!(" graph, with no neighbour budget, so it returns the table's matching and");
-    println!(" is how software scales to large d.)");
+    println!(" stages pair weights by truncated Dijkstra on the O(edges) graph. A deep");
+    println!(" shot is seeded with each fired detector's 4 nearest neighbours, then");
+    println!(" priced and repaired until its matching is certified optimal, so it");
+    println!(" returns a matching of the table's weight and is how software scales to");
+    println!(" large d.)");
 }
 
 // ---------------------------------------------------------------- fig 4

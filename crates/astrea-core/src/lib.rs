@@ -71,6 +71,4 @@ pub use pipeline::{
     PipelineCounters, StreamOutcome, TileQueue, TileScratch, DEFAULT_CHANNEL_DEPTH,
     DEFAULT_HARD_CACHE_ENTRIES, DEFAULT_TILE_WORDS,
 };
-pub use screen::{
-    HardSyndromeCache, ScreenCache, TileScreen, HARD_CACHE_MAX_HW, HARD_CACHE_MIN_HW,
-};
+pub use screen::{HardSyndromeCache, ScreenCache, HARD_CACHE_MAX_HW, HARD_CACHE_MIN_HW};

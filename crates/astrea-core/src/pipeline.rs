@@ -5,10 +5,9 @@
 //! sampling finishes before decoding starts. This module streams instead:
 //! producer threads emit fixed-size packed [`SyndromeTile`]s over a
 //! bounded channel, and consumers pull tiles as they arrive, screen them
-//! word-parallel (the bit-sliced adder of
-//! [`TileScreen`](crate::screen::TileScreen), fused inline with
-//! extraction into one pass over the packed columns), and only
-//! build sparse lists for shots of Hamming weight ≥ 3 ([`decode_tile`]).
+//! word-parallel (a bit-sliced ripple adder, fused inline with
+//! extraction into one pass over the packed columns), and only build
+//! sparse lists for shots of Hamming weight ≥ 3 ([`decode_tile`]).
 //! Sampling and decoding overlap end-to-end, and the ~99% of shots that
 //! are trivial or HW ≤ 2 at low physical error rate never touch a batch
 //! structure at all.
@@ -300,8 +299,7 @@ struct ScreenContext {
 /// arena, the closed-form batch buffers, and the per-stage
 /// [`PipelineCounters`].
 /// (Screening itself is fused into [`decode_tile`]'s word loop and needs
-/// no buffers — see [`TileScreen`](crate::screen::TileScreen) for the
-/// standalone reference implementation.)
+/// no buffers; [`decode_tile_reference`] keeps its own per-word adder.)
 ///
 /// Keep one per consumer thread and decoding context; the caches warm
 /// and the counters accumulate across tiles and batches.
@@ -400,13 +398,12 @@ impl TileScratch {
 /// `out`.
 ///
 /// Classification and extraction are **fused into one pass over the
-/// packed columns**, widened to [`CHUNK_WORDS`]-word chunks: per chunk,
-/// a register-resident bit-sliced ripple add over `[u64; 4]` lanes
-/// classifies 256 shots by Hamming weight (the same adder as
-/// [`TileScreen`](crate::screen::TileScreen), without its buffers), and
-/// the extraction micro-sweep immediately re-reads the same columns —
-/// still L1-hot — with the `det.row(d)` slice hoisted out of the word
-/// loop. Trivial shots are popcounted (their failures read off a
+/// packed columns**, widened to four-word chunks: per chunk, a
+/// register-resident bit-sliced ripple add over `[u64; 4]` lanes
+/// classifies 256 shots by Hamming weight (a 2-bit counter with sticky
+/// overflow, no buffers), and the extraction micro-sweep immediately
+/// re-reads the same columns — still L1-hot — with the `det.row(d)` slice
+/// hoisted out of the word loop. Trivial shots are popcounted (their failures read off a
 /// word-level observable OR) without being materialized.
 ///
 /// HW ≤ 2 shots never leave the packed domain: each distinct HW-1 key is
@@ -856,6 +853,11 @@ fn apply_packed_prediction(
 /// diagnostics differ — they stay zero here). It shares the
 /// [`TileScratch`] caches, so mixing the two paths on one worker is
 /// also exact. Not used on any hot path.
+///
+/// It is the one easy-tier oracle, and it stays in this crate rather
+/// than in a test-only one: pinning the shot-partition counters bit for
+/// bit needs `TileScratch`'s private caches and counters, which a
+/// separate crate could only reach through a wider public API.
 pub fn decode_tile_reference(
     decoder: &mut dyn Decoder,
     scratch: &mut DecodeScratch,

@@ -6,10 +6,11 @@
 //! per-shot sparse-list materialization and a full decoder call for each
 //! of them. This module screens shots *while they are still bit-packed*:
 //!
-//! * [`TileScreen`] runs a bit-sliced ripple adder over the detector
-//!   rows of a [`BitTable`] tile, classifying all 64 shots of a word into
-//!   Hamming-weight buckets {0, 1, 2, ≥3} with two bitwise ops per
-//!   detector row per word — no per-shot work at all;
+//! * the tile decoder ([`decode_tile`](crate::pipeline::decode_tile))
+//!   runs a bit-sliced ripple adder over the detector rows of a packed
+//!   tile, classifying all 64 shots of a word into Hamming-weight buckets
+//!   {0, 1, 2, ≥3} with two bitwise ops per detector row per word — no
+//!   per-shot work at all;
 //! * trivial shots are *counted* (popcount) and their failures read off a
 //!   word-parallel observable OR, never materialized;
 //! * [`ScreenCache`] memoizes the wrapped decoder's [`Prediction`] for
@@ -27,7 +28,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use decoding_graph::{DecodeScratch, Decoder, Prediction};
-use qec_circuit::BitTable;
 
 /// A multiplicative word hasher for the screen cache's packed integer
 /// keys.
@@ -66,93 +66,6 @@ impl Hasher for WordHasher {
 
 /// [`HashMap`] state plugging [`WordHasher`] into the screen caches.
 pub type WordHashState = BuildHasherDefault<WordHasher>;
-
-/// Bit-sliced Hamming-weight classification of one packed tile: for each
-/// 64-shot word, the lanes whose syndrome weight is 0, 1, 2, or ≥ 3.
-///
-/// The buffers are reusable scratch; [`TileScreen::compute`] resizes them
-/// to the tile at hand.
-#[derive(Debug, Default)]
-pub struct TileScreen {
-    /// Bit 0 of the per-lane weight counter.
-    ones: Vec<u64>,
-    /// Bit 1 of the per-lane weight counter.
-    twos: Vec<u64>,
-    /// Sticky overflow: lanes that reached weight ≥ 4.
-    fours: Vec<u64>,
-}
-
-impl TileScreen {
-    /// A screen with empty buffers (sized on first
-    /// [`TileScreen::compute`]).
-    pub fn new() -> TileScreen {
-        TileScreen::default()
-    }
-
-    /// Classifies every shot of `detectors` by Hamming weight.
-    ///
-    /// One row-major sweep; per word and detector row this costs a
-    /// handful of bitwise ops (a 2-bit ripple add with sticky overflow),
-    /// so 64 shots are bucketed for less than the cost of materializing
-    /// one sparse detector list.
-    pub fn compute(&mut self, detectors: &BitTable) {
-        let words = detectors.num_words();
-        self.ones.clear();
-        self.ones.resize(words, 0);
-        self.twos.clear();
-        self.twos.resize(words, 0);
-        self.fours.clear();
-        self.fours.resize(words, 0);
-        for d in 0..detectors.num_bits() {
-            let row = detectors.row(d);
-            for (w, &bits) in row.iter().enumerate() {
-                // 2-bit bit-sliced add of `bits` into (ones, twos) with
-                // sticky overflow into `fours`.
-                let carry1 = self.ones[w] & bits;
-                self.ones[w] ^= bits;
-                let carry2 = self.twos[w] & carry1;
-                self.twos[w] ^= carry1;
-                self.fours[w] |= carry2;
-            }
-        }
-    }
-
-    /// Number of words classified by the last `compute`.
-    pub fn num_words(&self) -> usize {
-        self.ones.len()
-    }
-
-    /// Lanes of word `w` with Hamming weight 0 (trivial shots).
-    #[inline]
-    pub fn hw0(&self, w: usize) -> u64 {
-        !(self.ones[w] | self.twos[w] | self.fours[w])
-    }
-
-    /// Lanes of word `w` with Hamming weight exactly 1.
-    #[inline]
-    pub fn hw1(&self, w: usize) -> u64 {
-        self.ones[w] & !self.twos[w] & !self.fours[w]
-    }
-
-    /// Lanes of word `w` with Hamming weight exactly 2.
-    #[inline]
-    pub fn hw2(&self, w: usize) -> u64 {
-        self.twos[w] & !self.ones[w] & !self.fours[w]
-    }
-
-    /// Lanes of word `w` with Hamming weight ≥ 3 — the genuinely hard
-    /// shots that get sparse detector lists and a real decoder call.
-    #[inline]
-    pub fn hard(&self, w: usize) -> u64 {
-        self.fours[w] | (self.ones[w] & self.twos[w])
-    }
-
-    /// Lanes of word `w` with any fired detector (weight ≥ 1).
-    #[inline]
-    pub fn nonzero(&self, w: usize) -> u64 {
-        self.ones[w] | self.twos[w] | self.fours[w]
-    }
-}
 
 /// A lazy memo of the wrapped decoder's [`Prediction`]s for Hamming
 /// weight 1 and 2 syndromes.
@@ -382,57 +295,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use surface_code::SurfaceCode;
-
-    #[test]
-    fn screen_matches_per_shot_popcounts() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut table = BitTable::new(17, 200);
-        for d in 0..17 {
-            for s in 0..200 {
-                if rng.gen::<f64>() < 0.04 {
-                    table.set(d, s, true);
-                }
-            }
-        }
-        let mut screen = TileScreen::new();
-        screen.compute(&table);
-        assert_eq!(screen.num_words(), table.num_words());
-        for s in 0..200 {
-            let hw = (0..17).filter(|&d| table.get(d, s)).count();
-            let (w, lane) = (s / 64, s % 64);
-            let expect = |mask: u64| mask >> lane & 1 == 1;
-            assert_eq!(expect(screen.hw0(w)), hw == 0, "shot {s} hw {hw}");
-            assert_eq!(expect(screen.hw1(w)), hw == 1, "shot {s} hw {hw}");
-            assert_eq!(expect(screen.hw2(w)), hw == 2, "shot {s} hw {hw}");
-            assert_eq!(expect(screen.hard(w)), hw >= 3, "shot {s} hw {hw}");
-            assert_eq!(expect(screen.nonzero(w)), hw >= 1, "shot {s} hw {hw}");
-        }
-    }
-
-    #[test]
-    fn screen_buckets_are_a_partition() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut table = BitTable::new(40, 128);
-        for d in 0..40 {
-            for s in 0..128 {
-                if rng.gen::<f64>() < 0.1 {
-                    table.set(d, s, true);
-                }
-            }
-        }
-        let mut screen = TileScreen::new();
-        screen.compute(&table);
-        for w in 0..screen.num_words() {
-            assert_eq!(
-                screen.hw0(w) | screen.hw1(w) | screen.hw2(w) | screen.hard(w),
-                !0u64
-            );
-            assert_eq!(screen.hw0(w) & screen.nonzero(w), 0);
-            assert_eq!(screen.hw1(w) & screen.hw2(w), 0);
-            assert_eq!(screen.hw1(w) & screen.hard(w), 0);
-            assert_eq!(screen.hw2(w) & screen.hard(w), 0);
-        }
-    }
 
     fn check_cache_replay(
         num_detectors: usize,

@@ -150,7 +150,9 @@ struct WorkerSlot {
     tiles: u64,
 }
 
-/// A long-running decode service (see the [module docs](self)).
+/// A long-running decode service: cross-client batching into packed
+/// tiles over a persistent decode-worker pool (see the
+/// [crate docs](crate) for exactness and backpressure).
 ///
 /// Construction spawns the batcher and the worker pool; sessions are
 /// handed out with [`DecodeService::session`] and the in-process API on

@@ -14,9 +14,10 @@
 
 use astrea_bench::SyndromeCorpus;
 use astrea_experiments::ExperimentContext;
-use blossom_mwpm::{dense_blossom, sparse_blossom, subset_dp, MwpmDecoder};
+use blossom_mwpm::{sparse_blossom, subset_dp, MwpmDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use decoding_graph::{DecodeScratch, Decoder, GlobalWeightTable, SparseBlossomScratch};
+use mwpm_oracle::dense_blossom;
 use std::hint::black_box;
 
 /// Mirrors of the decoder's private fixed-point scale and weight clamp.

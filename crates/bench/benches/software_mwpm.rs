@@ -3,14 +3,15 @@
 //! The paper's argument: software MWPM (BlossomV) has an unbounded,
 //! workload-dependent latency tail — 96% of nonzero d = 7 syndromes took
 //! longer than the 1 µs budget on their setup. This bench measures the
-//! two exact algorithms in this workspace (subset DP and dense blossom)
-//! across Hamming weights, exposing the same super-linear growth that
-//! makes a fixed-latency hardware design attractive.
+//! subset DP and the cold-start dense blossom (the `mwpm-oracle` test
+//! oracle) across Hamming weights, exposing the same super-linear growth
+//! that makes a fixed-latency hardware design attractive.
 
 use astrea_bench::SyndromeCorpus;
 use astrea_experiments::ExperimentContext;
-use blossom_mwpm::{dense_blossom, subset_dp, MwpmDecoder};
+use blossom_mwpm::{subset_dp, MwpmDecoder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mwpm_oracle::dense_blossom;
 use std::hint::black_box;
 
 fn bench_exact_solvers_by_weight(c: &mut Criterion) {

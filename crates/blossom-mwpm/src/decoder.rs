@@ -719,7 +719,7 @@ mod tests {
                 dec.pair_w(dets[i], dets[j]).min(via_boundary)
             }
         };
-        let (mate, _) = crate::dense_blossom::min_weight_perfect_matching(n, |i, j| {
+        let (mate, _) = mwpm_oracle::dense_blossom::min_weight_perfect_matching(n, |i, j| {
             (reduced(i, j).min(WEIGHT_CLAMP) * BLOSSOM_SCALE).round() as i64 + 1
         });
         (0..k)

@@ -21,14 +21,16 @@
 //!   reduction `w'ᵢⱼ = min(wᵢⱼ, bᵢ + bⱼ)` plus one virtual boundary node
 //!   when the syndrome weight is odd.
 //!
-//! A fourth, [`dense_blossom`], is the oracle: the same primal–dual
-//! algorithm, cold-started, over a fully materialized weight matrix. The
-//! decoder never calls it. The crate's correctness argument is that the
-//! sparse solver's total weight equals it exactly on every tested
-//! instance, that every such sparse solve carries a dual certificate of
-//! optimality (checked by the tests), and that the decoder's optima equal
-//! it. The sparse solver starts from a greedy state, so its mates may
-//! differ from the oracle's where matchings tie.
+//! The crate exports only these. The oracles live in the dev-only
+//! `mwpm-oracle` crate, outside the production build: a dense blossom
+//! (the same primal–dual algorithm, cold-started, over a fully
+//! materialized weight matrix) and the dual-certificate checker. The
+//! crate's correctness argument is that the sparse solver's total weight
+//! equals the dense oracle's exactly on every tested instance, that
+//! every such sparse solve carries a dual certificate of optimality
+//! (checked by the tests), and that the decoder's optima equal the
+//! oracle's. The sparse solver starts from a greedy state, so its mates
+//! may differ from the oracle's where matchings tie.
 //!
 //! [`MwpmDecoder`] wraps the production solvers behind the
 //! [`Decoder`](decoding_graph::Decoder) trait, using the unquantized
@@ -40,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod decoder;
-pub mod dense_blossom;
 pub mod ondemand;
 mod solution;
 pub mod sparse_blossom;

@@ -1,10 +1,11 @@
 //! A sparse, scratch-reusing blossom solver for the deep decode tail.
 //!
-//! Same primal–dual algorithm as [`crate::dense_blossom`] (defect-rooted
-//! alternating-tree growth under a global tree-growth schedule, dual
-//! updates restricted to the explored forest, blossom shrink/expand via
-//! the surface/parent-pointer forest), but warm-started per solve and
-//! with the per-shot staging cost removed:
+//! Same primal–dual algorithm as the dense test oracle
+//! `mwpm_oracle::dense_blossom` (defect-rooted alternating-tree growth
+//! under a global tree-growth schedule, dual updates restricted to the
+//! explored forest, blossom shrink/expand via the surface/parent-pointer
+//! forest), but warm-started per solve and with the per-shot staging
+//! cost removed:
 //!
 //! * each solve starts from a greedy state, as Blossom V does: vertex
 //!   duals are lowered from their row maxima until every vertex has a
@@ -36,12 +37,13 @@
 //! never carried across shots, only allocations and the `vis` epoch.
 //!
 //! The result is an exact optimum: its total weight equals the dense
-//! solver's on every instance. The mate assignment may differ from the
-//! cold-start dense solver's where several matchings tie. What the tests
-//! check instead is a per-solve proof: the final arena (duals, mates,
-//! blossom family) is a dual certificate of optimality, verified on every
-//! solve of this module's tests and of the cross-solver property tests,
-//! with `dense_blossom` kept as the optimum oracle.
+//! oracle's on every tested instance (the oracle crate is a
+//! dev-dependency, outside the production build). The mate assignment
+//! may differ from the cold-start dense solver's where several matchings
+//! tie. What the tests check instead is a per-solve proof: the final
+//! arena (duals, mates, blossom family) is a dual certificate of
+//! optimality (`mwpm_oracle::certificate`), verified on every solve of
+//! this module's tests and of the cross-solver property tests.
 
 use decoding_graph::{RepEdge, SparseBlossomScratch};
 
@@ -548,8 +550,8 @@ fn greedy_start(n: usize, sc: &mut SparseBlossomScratch) {
 ///
 /// The mate assignment is left in `scratch.mate[1..=n]` (1-based, `0`
 /// never occurs on success); the returned value is the total weight of
-/// the matching under the original `weights`, equal to
-/// [`crate::dense_blossom::min_weight_perfect_matching`]'s on every
+/// the matching under the original `weights`, equal to the cold-start
+/// dense oracle's (`mwpm_oracle::dense_blossom`) on every tested
 /// instance. The final duals, the blossom family (`flower`, `st`, with
 /// `scratch.blossom_ids` ids in use) and the doubled reflected weights
 /// stay in the arena and certify the optimum. The result is a pure
@@ -648,32 +650,12 @@ pub fn min_weight_perfect_matching_scratch(
     total
 }
 
-/// Allocating convenience wrapper with the dense solver's signature:
-/// returns `(mate, total_weight)` with 0-based `mate[i] = j`.
-///
-/// # Panics
-///
-/// Panics if `n` is odd or zero.
-pub fn min_weight_perfect_matching(
-    n: usize,
-    weights: impl Fn(usize, usize) -> i64,
-) -> (Vec<usize>, i64) {
-    let mut scratch = SparseBlossomScratch::new();
-    let total = min_weight_perfect_matching_scratch(n, weights, &mut scratch);
-    let mate = (1..=n).map(|u| scratch.mate[u] - 1).collect();
-    (mate, total)
-}
-
-#[cfg(test)]
-#[path = "../tests/support/certificate.rs"]
-mod certificate;
-
 #[cfg(test)]
 mod tests {
-    use super::certificate::check_certificate;
     use super::*;
     use crate::decoder::{BLOSSOM_SCALE, WEIGHT_CLAMP};
-    use crate::dense_blossom;
+    use mwpm_oracle::certificate::check_certificate;
+    use mwpm_oracle::dense_blossom;
 
     #[test]
     fn two_vertices() {
@@ -695,7 +677,9 @@ mod tests {
                 _ => 10,
             }
         };
-        let (mate, total) = min_weight_perfect_matching(4, w);
+        let mut scratch = SparseBlossomScratch::new();
+        let total = min_weight_perfect_matching_scratch(4, w, &mut scratch);
+        let mate: Vec<usize> = (1..=4).map(|u| scratch.mate[u] - 1).collect();
         assert_eq!(total, 2);
         assert_eq!(mate[0], 1);
         assert_eq!(mate[2], 3);
@@ -981,7 +965,9 @@ mod tests {
     #[test]
     fn matching_is_a_permutation() {
         let w = |u: usize, v: usize| ((u * 31 + v * 17) % 23 + 1) as i64;
-        let (mate, _) = min_weight_perfect_matching(14, |u, v| w(u.min(v), u.max(v)));
+        let mut scratch = SparseBlossomScratch::new();
+        min_weight_perfect_matching_scratch(14, |u, v| w(u.min(v), u.max(v)), &mut scratch);
+        let mate: Vec<usize> = (1..=14).map(|u| scratch.mate[u] - 1).collect();
         for (u, &v) in mate.iter().enumerate() {
             assert_ne!(u, v);
             assert_eq!(mate[v], u, "mate is not an involution at {u}");
@@ -991,6 +977,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "even")]
     fn rejects_odd_vertex_count() {
-        min_weight_perfect_matching(3, |_, _| 1);
+        min_weight_perfect_matching_scratch(3, |_, _| 1, &mut SparseBlossomScratch::new());
     }
 }

@@ -1,13 +1,12 @@
-//! Property tests: the blossom algorithm against the independent subset-DP
-//! solver, the sparse scratch solver against the dense oracle's optimum
-//! and its own solve-half certificate on real decoding-graph syndromes,
-//! and structural invariants of the MWPM decoder.
+//! Property tests: the dense blossom oracle (`mwpm_oracle`) against the
+//! independent subset-DP solver, the sparse scratch solver against the
+//! dense oracle's optimum and its own solve-half certificate on real
+//! decoding-graph syndromes, and structural invariants of the MWPM
+//! decoder.
 
-#[path = "support/certificate.rs"]
-mod certificate;
-
-use blossom_mwpm::{dense_blossom, sparse_blossom, subset_dp, MwpmDecoder};
+use blossom_mwpm::{sparse_blossom, subset_dp, MwpmDecoder};
 use decoding_graph::{DecodingContext, MatchingGraph, SparseBlossomScratch};
+use mwpm_oracle::{certificate, dense_blossom};
 use proptest::prelude::*;
 use qec_circuit::NoiseModel;
 use std::cell::RefCell;
@@ -339,6 +338,29 @@ fn certificate_against_other_weights_pins_the_optimum() {
                     "granule {delta} on a matched pair accepted on {dets:?}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn matches_subset_dp_on_fixed_instances() {
+    // Deterministic pseudo-random complete graphs, compared against the
+    // independent subset-DP solver (boundary disabled via huge cost).
+    for n in [2usize, 4, 6, 8, 10, 12] {
+        for seed in 0..8u64 {
+            let w = move |u: usize, v: usize| {
+                let (u, v) = (u.min(v), u.max(v));
+                ((u as u64 * 2654435761 + v as u64 * 40503 + seed * 9176).wrapping_mul(2246822519)
+                    >> 33) as i64
+                    % 97
+                    + 1
+            };
+            let (_, blossom_cost) = dense_blossom::min_weight_perfect_matching(n, w);
+            let (_, dp_cost) = subset_dp::solve(n, |i, j| w(i, j) as f64, |_| 1e15);
+            assert_eq!(
+                blossom_cost as f64, dp_cost,
+                "n={n} seed={seed}: blossom {blossom_cost} vs dp {dp_cost}"
+            );
         }
     }
 }

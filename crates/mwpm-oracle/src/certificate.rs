@@ -1,11 +1,12 @@
 //! Optimality certificate for the sparse blossom solver.
 //!
 //! [`check_certificate`] reads the arena that
-//! `sparse_blossom::min_weight_perfect_matching_scratch` leaves behind —
-//! `weights`, `lab`, `mate`, `st`, `flower` and `blossom_ids` — and
-//! checks, in integers on the doubled reflected weights `w'`, that the
-//! final duals prove the mate a maximum-weight perfect matching of `w'`,
-//! i.e. a minimum-weight perfect matching of the original weights:
+//! `blossom_mwpm::sparse_blossom::min_weight_perfect_matching_scratch`
+//! leaves behind — `weights`, `lab`, `mate`, `st`, `flower` and
+//! `blossom_ids` — and checks, in integers on the doubled reflected
+//! weights `w'`, that the final duals prove the mate a maximum-weight
+//! perfect matching of `w'`, i.e. a minimum-weight perfect matching of
+//! the original weights:
 //!
 //! * the mate is a perfect involution on `1..=n`;
 //! * every pair has reduced cost
@@ -35,7 +36,6 @@ use decoding_graph::SparseBlossomScratch;
 
 /// Checks the solve-half certificate of the last `n`-vertex solve held
 /// in `sc`; `Err` names the first violated condition.
-#[allow(dead_code)]
 pub fn check_certificate(n: usize, sc: &SparseBlossomScratch) -> Result<(), String> {
     let wn = n + 1;
     check_duals(n, sc, |u, v| 2 * sc.weights[u * wn + v], Some(0))
@@ -45,7 +45,6 @@ pub fn check_certificate(n: usize, sc: &SparseBlossomScratch) -> Result<(), Stri
 /// `sc` certify the mate a minimum-weight perfect matching under the
 /// fixed-point weights `weight(u, v)` (1-based arena vertices, before
 /// reflection); `Err` names the first violated condition.
-#[allow(dead_code)]
 pub fn check_certificate_against(
     n: usize,
     sc: &SparseBlossomScratch,

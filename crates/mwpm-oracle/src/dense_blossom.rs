@@ -14,7 +14,7 @@
 //! the standard weight reflection `w' = W − w`.
 //!
 //! Correctness is established by exhaustive cross-validation against the
-//! independent subset-DP solver in this crate's property tests.
+//! independent subset-DP solver in `blossom-mwpm`'s property tests.
 
 use std::collections::VecDeque;
 
@@ -453,7 +453,7 @@ pub fn max_weight_matching(n: usize, weights: impl Fn(usize, usize) -> i64) -> V
 /// Returns `(mate, total_weight)` with `mate[i] = j`.
 ///
 /// ```
-/// use blossom_mwpm::dense_blossom::min_weight_perfect_matching;
+/// use mwpm_oracle::dense_blossom::min_weight_perfect_matching;
 ///
 /// // (0,1) and (2,3) cheap, everything else expensive.
 /// let cheap = [(0usize, 1usize), (2, 3)];
@@ -542,30 +542,6 @@ mod tests {
         // Optimal: (0,5)=3, (1,2)=2, (3,4)=2 → 7.
         assert_eq!(total, 7);
         assert_eq!(mate[5], 0);
-    }
-
-    #[test]
-    fn matches_subset_dp_on_fixed_instances() {
-        // Deterministic pseudo-random complete graphs, compared against the
-        // independent subset-DP solver (boundary disabled via huge cost).
-        for n in [2usize, 4, 6, 8, 10, 12] {
-            for seed in 0..8u64 {
-                let w = move |u: usize, v: usize| {
-                    let (u, v) = (u.min(v), u.max(v));
-                    ((u as u64 * 2654435761 + v as u64 * 40503 + seed * 9176)
-                        .wrapping_mul(2246822519)
-                        >> 33) as i64
-                        % 97
-                        + 1
-                };
-                let (_, blossom_cost) = min_weight_perfect_matching(n, w);
-                let (_, dp_cost) = crate::subset_dp::solve(n, |i, j| w(i, j) as f64, |_| 1e15);
-                assert_eq!(
-                    blossom_cost as f64, dp_cost,
-                    "n={n} seed={seed}: blossom {blossom_cost} vs dp {dp_cost}"
-                );
-            }
-        }
     }
 
     #[test]

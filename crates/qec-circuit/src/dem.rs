@@ -38,7 +38,8 @@ pub struct DetectorErrorModel {
 
 impl DetectorErrorModel {
     /// Builds a model directly from mechanisms — for tests, hand-written
-    /// models, and the text loader in [`crate::dem_io`].
+    /// models, and the text loader
+    /// [`DetectorErrorModel::from_dem_text`].
     ///
     /// # Panics
     ///

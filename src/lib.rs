@@ -7,7 +7,7 @@
 //! (filtered greedy MWPM to distance 9), together with the full evaluation
 //! stack they require: a rotated-surface-code model, a circuit-level
 //! noise simulator with detector error models, exact software MWPM
-//! baselines (subset DP and a dense blossom algorithm), a Union-Find
+//! baselines (subset DP and a sparse primal–dual blossom), a Union-Find
 //! decoder, LILLIPUT- and Clique-style baselines, and a Monte-Carlo /
 //! stratified logical-error-rate harness.
 //!

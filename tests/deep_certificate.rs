@@ -14,14 +14,18 @@
 //! * every matched pair is tight under them,
 //!
 //! so the mate is a minimum-weight perfect matching of the exact
-//! weights (`check_certificate_against` in the matching crate's test
-//! support). Both weight domains run, at d = 15 and d = 21.
-
-#[path = "../crates/blossom-mwpm/tests/support/certificate.rs"]
-mod certificate;
+//! weights (`mwpm_oracle::certificate::check_certificate_against`). Both
+//! weight domains run, at d = 15 and d = 21.
+//!
+//! A chain check backs the matched pairs at d = 15 on the exact axis:
+//! every pair `decode_full` reports must have a reconstructed shortest
+//! chain whose weight, summed from its first detector in path order,
+//! equals the staged oracle's cell bit for bit, and whose parity equals
+//! the oracle's observable; the decode's observables must be the XOR of
+//! those parities and the boundary chains'.
 
 use astrea::prelude::*;
-use certificate::check_certificate_against;
+use mwpm_oracle::certificate::check_certificate_against;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,22 +44,28 @@ fn shots(full: usize) -> usize {
     }
 }
 
+/// The GWT-free context of (d, p) and `shots(full)` sampled deep shots
+/// (more than `DP_NODE_LIMIT` fired detectors) from `seed`.
+fn deep_corpus(d: usize, p: f64, seed: u64, full: usize) -> (ExperimentContext, Vec<Vec<u32>>) {
+    let ctx = ExperimentContext::new(d, p);
+    assert!(ctx.decoding().try_gwt().is_none(), "d = {d} built a GWT");
+    let mut sampler = DemSampler::new(ctx.dem());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let corpus = std::iter::repeat_with(|| sampler.sample(&mut rng).detectors.clone())
+        .filter(|d| d.len() > DP_NODE_LIMIT)
+        .take(shots(full))
+        .collect();
+    (ctx, corpus)
+}
+
 /// Decodes `shots(full)` sampled deep shots of a GWT-free (d, p) point
 /// with the production decoder on both weight axes, and certifies every
 /// final solve against the staged oracle's exact weights.
 fn certify(d: usize, p: f64, seed: u64, full: usize) {
-    let ctx = ExperimentContext::new(d, p);
-    assert!(ctx.decoding().try_gwt().is_none(), "d = {d} built a GWT");
+    let (ctx, corpus) = deep_corpus(d, p, seed, full);
     let bt = ctx.decoding().boundary();
     let scale = bt.scale();
     let mut oracle = LocalWeightProvider::new(ctx.graph(), bt);
-    let mut sampler = DemSampler::new(ctx.dem());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let corpus: Vec<Vec<u32>> =
-        std::iter::repeat_with(|| sampler.sample(&mut rng).detectors.clone())
-            .filter(|d| d.len() > DP_NODE_LIMIT)
-            .take(shots(full))
-            .collect();
     for quantized in [false, true] {
         let mut prod = if quantized {
             MwpmDecoder::for_context_quantized(ctx.decoding())
@@ -114,4 +124,56 @@ fn deep_decodes_are_optimal_under_exact_weights_at_d15() {
 #[test]
 fn deep_decodes_are_optimal_under_exact_weights_at_d21() {
     certify(21, 5e-3, 2121, 32);
+}
+
+#[test]
+fn matched_pairs_are_backed_by_reconstructed_chains_at_d15() {
+    let (ctx, corpus) = deep_corpus(15, 5e-3, 1515, 64);
+    let (graph, bt) = (ctx.graph(), ctx.decoding().boundary());
+    let paths = PathReconstructor::new(graph);
+    let mut oracle = LocalWeightProvider::new(graph, bt);
+    let mut prod = MwpmDecoder::for_context(ctx.decoding());
+    assert_eq!(prod.deep_backend(), DeepBackend::GraphPd);
+    let mut scratch = DecodeScratch::new();
+    let mut chains = 0;
+    for dets in &corpus {
+        let full = prod.decode_full(dets);
+        assert!(full.is_perfect_over(dets), "not perfect over {dets:?}");
+        oracle.stage(dets);
+        let mut obs = 0;
+        for &(a, b) in &full.pairs {
+            let chain = paths.pair_path(a, b).expect("a matched pair is connected");
+            let (weight, parity) = chain.iter().fold((0.0, 0), |(w, o), &e| {
+                let edge = &graph.edges()[e as usize];
+                (w + edge.weight, o ^ edge.observables)
+            });
+            assert_eq!(
+                weight.to_bits(),
+                oracle.pair_weight(a, b).to_bits(),
+                "chain ({a}, {b}) weighs {weight}, staged {} on {dets:?}",
+                oracle.pair_weight(a, b)
+            );
+            assert_eq!(
+                parity,
+                oracle.pair_obs(a, b),
+                "chain ({a}, {b}) on {dets:?}"
+            );
+            obs ^= parity;
+            chains += 1;
+        }
+        for &a in &full.to_boundary {
+            obs ^= bt.obs(a);
+        }
+        assert_eq!(full.observables, obs, "folded parity on {dets:?}");
+        let pred = prod.decode_with_scratch(dets, &mut scratch);
+        assert_eq!(
+            full.observables, pred.observables,
+            "decode paths on {dets:?}"
+        );
+    }
+    assert!(
+        chains > corpus.len(),
+        "{chains} chains over {} shots",
+        corpus.len()
+    );
 }

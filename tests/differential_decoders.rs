@@ -17,7 +17,8 @@
 //! syndromes per run, all checked for exactness with zero tolerance.
 
 use astrea::prelude::*;
-use blossom_mwpm::{dense_blossom, subset_dp, MatchingSolution};
+use blossom_mwpm::{subset_dp, MatchingSolution};
+use mwpm_oracle::dense_blossom;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -10,11 +10,13 @@
 //! a single bit: these properties pit the packed path against the
 //! retained per-lane [`decode_tile_reference`] oracle — predictions,
 //! `StreamOutcome` accounting, and the shot-partition counters must all
-//! agree — with the standalone [`TileScreen`] as the independent
-//! classification oracle for how many shots each tier must absorb. A
-//! thread axis (streamed vs barrier across producer/consumer splits)
-//! and a serving axis (concurrent clients vs offline `decode_slice`)
-//! check that the packed tiers stay invisible end-to-end.
+//! agree — with per-shot fired-detector counts
+//! ([`SyndromeBatch::hamming_weight`], from the batch extraction, which
+//! shares no code with either path's bit-sliced adder) as the
+//! independent classification oracle for how many shots each tier must
+//! absorb. A thread axis (streamed vs barrier across producer/consumer
+//! splits) and a serving axis (concurrent clients vs offline
+//! `decode_slice`) check that the packed tiers stay invisible end-to-end.
 
 use std::sync::{Arc, OnceLock};
 
@@ -22,7 +24,6 @@ use astrea::prelude::*;
 use astrea_core::pipeline::{
     decode_tile_reference, decode_tile_with_predictions, StreamOutcome, TileScratch,
 };
-use astrea_core::TileScreen;
 use astrea_experiments::estimate_ler_streamed_counted;
 use proptest::prelude::*;
 use qec_circuit::tiles::{PackedSyndromeSource, TileLayout};
@@ -52,8 +53,8 @@ proptest! {
     /// counts, decoder families, and seeds, the packed path reproduces
     /// the per-lane reference bit-for-bit — per-shot predictions,
     /// aggregate outcome, and every shot-partition counter — while
-    /// [`TileScreen`] independently pins how many shots each tier must
-    /// have absorbed.
+    /// per-shot Hamming weights independently pin how many shots each
+    /// tier must have absorbed.
     #[test]
     fn packed_easy_tier_matches_per_lane_reference(
         ctx_idx in 0usize..3,
@@ -79,22 +80,16 @@ proptest! {
         let mut ts_ref = TileScratch::new();
         let mut out_packed = StreamOutcome::default();
         let mut out_ref = StreamOutcome::default();
-        let mut screen = TileScreen::new();
-        // Oracle tallies from the standalone screen: [trivial, hw1, hw2, hard].
+        // Oracle tallies from per-shot Hamming weights: [trivial, hw1, hw2, hard].
         let mut oracle = [0u64; 4];
 
         let layout = TileLayout::new(shots, tile_words);
         let mut sampler = BatchDemSampler::new(ctx.dem());
         for t in 0..layout.num_tiles() {
             let tile = sampler.sample_tile(seed, &layout, t);
-            let det = tile.detectors();
-            screen.compute(det);
-            for w in 0..det.num_words() {
-                let valid = det.valid_lanes(w);
-                oracle[0] += u64::from((screen.hw0(w) & valid).count_ones());
-                oracle[1] += u64::from((screen.hw1(w) & valid).count_ones());
-                oracle[2] += u64::from((screen.hw2(w) & valid).count_ones());
-                oracle[3] += u64::from((screen.hard(w) & valid).count_ones());
+            let batch = SyndromeBatch::from_packed(tile.detectors(), tile.observables());
+            for i in 0..batch.len() {
+                oracle[batch.hamming_weight(i).min(3)] += 1;
             }
 
             let mut preds_packed = vec![Prediction::identity(); tile.num_shots()];
@@ -124,7 +119,8 @@ proptest! {
         prop_assert_eq!(cp.shots_screened, shots as u64);
         prop_assert_eq!(cp.tier_sum(), cp.shots_screened);
 
-        // TileScreen as the classification oracle for the packed tiers.
+        // Per-shot Hamming weights as the classification oracle for the
+        // packed tiers.
         prop_assert_eq!(cp.trivial_shots, oracle[0]);
         prop_assert_eq!(cp.hw1_shots, oracle[1]);
         prop_assert_eq!(cp.hw2_shots, oracle[2]);

@@ -23,8 +23,9 @@
 //! scratch to the fresh-arena `decode` path bit-for-bit.
 
 use astrea::prelude::*;
-use blossom_mwpm::{dense_blossom, subset_dp};
+use blossom_mwpm::subset_dp;
 use decoding_graph::DecodeScratch;
+use mwpm_oracle::dense_blossom;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 

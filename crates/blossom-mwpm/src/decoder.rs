@@ -1,13 +1,13 @@
 //! The idealized software MWPM decoder (the paper's baseline).
 //!
-//! Every entry point runs one staged engine. A shot's weights are staged
-//! once (the deep engine on the GWT-free backend past the DP band, the
-//! full sweep below it, nothing on the table), then solved by the
-//! register-only closed form (k ≤ 4), the staged subset DP
-//! (k ≤ [`DP_NODE_LIMIT`]), or one whole-shot [`sparse_blossom`] solve,
-//! priced and repaired on a graph-pd block. The matching is reported
-//! through one fold: the observable mask for `decode_with_scratch`, the
-//! whole [`MatchingSolution`] for [`MwpmDecoder::decode_full`].
+//! Every entry point runs one staged engine over one read path: per pair
+//! and per detector the exact weight from whichever backend holds it,
+//! mapped into the active domain at one point (`MwpmDecoder::active`:
+//! itself, or its 8-bit [`quantize`] view). The closed form (k ≤ 4) and
+//! the subset DP (k ≤ [`DP_NODE_LIMIT`]) gather it; one whole-shot
+//! [`sparse_blossom`] solve, priced and repaired on a graph-pd block,
+//! reads it in place. One fold reports the matching: the observable mask
+//! or the whole [`MatchingSolution`] ([`MwpmDecoder::decode_full`]).
 
 use crate::ondemand::DeepBackend;
 use crate::solution::MatchingSolution;
@@ -35,7 +35,7 @@ pub(crate) const BLOSSOM_SCALE: f64 = 65_536.0;
 pub(crate) const WEIGHT_CLAMP: f64 = 1e4;
 
 /// Index of pair `(i, j)` (`i < j < k`) in the triangular pair order
-/// `(0,1), (0,2), …` used by the small-gather helpers.
+/// `(0,1), (0,2), …` that [`gather_small`] writes.
 #[inline]
 fn tri_index(k: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < k);
@@ -136,6 +136,10 @@ enum Weights<'a> {
 /// assert_eq!(prediction.observables, 0);
 /// # Ok::<(), surface_code::InvalidDistance>(())
 /// ```
+///
+/// The quantized siblings ([`MwpmDecoder::with_quantized_weights`] and
+/// the others) read the same exact weights and map each to its 8-bit
+/// [`quantize`] view, so both backends see the view the table stores.
 #[derive(Debug, Clone)]
 pub struct MwpmDecoder<'a> {
     weights: Weights<'a>,
@@ -252,30 +256,22 @@ impl<'a> MwpmDecoder<'a> {
 
     /// Pair weight in the active domain (staged-local or table);
     /// `INFINITY` on the local backend means "provably dominated by
-    /// boundary matching".
+    /// boundary matching", `NaN` "left unsearched by a graph-pd block".
     #[inline]
     fn pair_w(&self, i: u32, j: u32) -> f64 {
-        match (&self.weights, self.use_quantized) {
-            (Weights::Gwt(gwt), false) => gwt.pair_weight(i, j),
-            (Weights::Gwt(gwt), true) => gwt.pair_weight_q(i, j) as f64 / gwt.scale(),
-            (Weights::Local { provider, .. }, false) => provider.borrow().pair_weight(i, j),
-            (Weights::Local { provider, boundary }, true) => {
-                provider.borrow().pair_weight_q(i, j) as f64 / boundary.scale()
-            }
-        }
+        self.active(match &self.weights {
+            Weights::Gwt(gwt) => gwt.pair_weight(i, j),
+            Weights::Local { provider, .. } => provider.borrow().pair_weight(i, j),
+        })
     }
 
     /// Boundary weight in the active domain.
     #[inline]
     fn boundary_w(&self, i: u32) -> f64 {
-        match (&self.weights, self.use_quantized) {
-            (Weights::Gwt(gwt), false) => gwt.boundary_weight(i),
-            (Weights::Gwt(gwt), true) => gwt.boundary_weight_q(i) as f64 / gwt.scale(),
-            (Weights::Local { boundary, .. }, false) => boundary.weight(i),
-            (Weights::Local { boundary, .. }, true) => {
-                boundary.weight_q(i) as f64 / boundary.scale()
-            }
-        }
+        self.active(match &self.weights {
+            Weights::Gwt(gwt) => gwt.boundary_weight(i),
+            Weights::Local { boundary, .. } => boundary.weight(i),
+        })
     }
 
     /// Observable parity of the pair's shortest path (only read for
@@ -320,22 +316,75 @@ impl<'a> MwpmDecoder<'a> {
         false
     }
 
-    /// Gathers the k×k weight block of `dets` (pairs clamped to
-    /// `2 · WEIGHT_CLAMP`, diagonal zero) and the boundary vector into
-    /// the arena, in the active weight domain.
+    /// Gathers the subset DP's k×k weight block of `dets` (pairs clamped
+    /// to `2 · WEIGHT_CLAMP`, diagonal zero) and the boundary vector into
+    /// the arena, in the active weight domain. The backend is matched
+    /// once, so each backend runs one monomorphic [`gather_block`].
     fn stage_block(&self, dets: &[u32], scratch: &mut DecodeScratch) {
         let (w, b) = (&mut scratch.weights, &mut scratch.boundary);
-        let clamp = 2.0 * WEIGHT_CLAMP;
-        match (&self.weights, self.use_quantized) {
-            (Weights::Gwt(gwt), false) => gwt.gather_exact_clamped(dets, clamp, w, b),
-            (Weights::Gwt(gwt), true) => gwt.gather_quantized_clamped(dets, clamp, w, b),
-            (Weights::Local { provider, .. }, false) => {
-                provider.borrow().gather_exact_clamped(dets, clamp, w, b)
+        let pair = |raw: f64| self.active(raw).min(2.0 * WEIGHT_CLAMP);
+        let boundary = |raw: f64| self.active(raw);
+        match &self.weights {
+            Weights::Gwt(gwt) => gather_block(
+                dets,
+                |i, j| pair(gwt.pair_weight(i, j)),
+                |i| boundary(gwt.boundary_weight(i)),
+                w,
+                b,
+            ),
+            Weights::Local {
+                provider,
+                boundary: bt,
+            } => {
+                let provider = provider.borrow();
+                gather_block(
+                    dets,
+                    |i, j| pair(provider.pair_weight(i, j)),
+                    |i| boundary(bt.weight(i)),
+                    w,
+                    b,
+                )
             }
-            (Weights::Local { provider, .. }, true) => provider
-                .borrow()
-                .gather_quantized_clamped(dets, clamp, w, b),
         }
+    }
+
+    /// The closed form's operands for `k ≤ 4` detectors: every exact pair
+    /// and boundary weight read once from the backend, through `pair` and
+    /// `boundary` into the operand domain `T`. The backend is matched
+    /// once, so each backend runs one monomorphic [`gather_small`].
+    #[inline(always)]
+    fn small_operands<T: Copy + Default>(
+        &self,
+        dets: &[u32],
+        pair: impl Fn(f64) -> T,
+        boundary: impl Fn(f64) -> T,
+    ) -> ([T; 6], [T; 4]) {
+        match &self.weights {
+            Weights::Gwt(gwt) => gather_small(
+                dets,
+                |i, j| pair(gwt.pair_weight(i, j)),
+                |i| boundary(gwt.boundary_weight(i)),
+            ),
+            Weights::Local {
+                provider,
+                boundary: bt,
+            } => {
+                let provider = provider.borrow();
+                gather_small(
+                    dets,
+                    |i, j| pair(provider.pair_weight(i, j)),
+                    |i| boundary(bt.weight(i)),
+                )
+            }
+        }
+    }
+
+    /// [`Self::small_operands`] of the exact decoder: pairs clamped to
+    /// `2 · WEIGHT_CLAMP` as the staged block clamps them, boundary
+    /// weights raw.
+    #[inline(always)]
+    fn exact_small_operands(&self, dets: &[u32]) -> ([f64; 6], [f64; 4]) {
+        self.small_operands(dets, |w| w.min(2.0 * WEIGHT_CLAMP), |w| w)
     }
 
     /// The one solve behind every entry point: stage, then closed form,
@@ -356,62 +405,27 @@ impl<'a> MwpmDecoder<'a> {
         }
     }
 
-    /// Backend-direct closed form for `1 ≤ k ≤ 4`: one batched triangular
-    /// gather, then the register-only closed form — no weight-matrix
-    /// staging, and for the quantized decoder no f64 dequantization until
-    /// the reported cost (integer sums are exact in f64 and the scale is
-    /// a power of two, so that cost is the dequantized optimum bit for
-    /// bit).
+    /// Backend-direct closed form for `1 ≤ k ≤ 4`: one triangular gather,
+    /// then the register-only closed form — no weight-matrix staging. The
+    /// quantized decoder stays in the integer domain until the reported
+    /// cost: its operands are `quantize(w, scale)`, the active weights
+    /// times the scale, and integer sums are exact in f64, so that cost is
+    /// the active-domain optimum.
     fn closed_form<F: MatchFold>(&self, dets: &[u32], out: &mut F) {
         let k = dets.len();
         let (cost, mate) = if self.use_quantized {
-            let (w, b) = match &self.weights {
-                Weights::Gwt(gwt) => gwt.gather_small_quantized(dets),
-                Weights::Local { provider, .. } => provider.borrow().gather_small_quantized(dets),
-            };
+            let scale = self.scale();
+            let q = |w: f64| quantize(w, scale) as u16;
+            let (w, b) = self.small_operands(dets, q, q);
             let (cost, mate) =
                 subset_dp::solve_closed_form(k, |i, j| w[tri_index(k, i, j)], |i| b[i]);
-            (cost as f64 / self.scale(), mate)
+            (cost as f64 / scale, mate)
         } else {
-            let (w, b) = match &self.weights {
-                Weights::Gwt(gwt) => gwt.gather_small_exact(dets, 2.0 * WEIGHT_CLAMP),
-                Weights::Local { provider, .. } => provider
-                    .borrow()
-                    .gather_small_exact(dets, 2.0 * WEIGHT_CLAMP),
-            };
+            let (w, b) = self.exact_small_operands(dets);
             subset_dp::solve_closed_form(k, |i, j| w[tri_index(k, i, j)], |i| b[i])
         };
         self.fold_mate(dets, &mate[..k], out);
         out.cost(cost);
-    }
-
-    /// The deep solvers' view of [`Self::stage_block`]: the boundary
-    /// vector always goes to the arena, the pair block only on the table
-    /// backend. The local backend's pairs are read in place from the
-    /// provider's staged block by [`Self::block_w`], so the deep tail keeps
-    /// no second k×k copy per worker.
-    fn stage_deep_block(&self, dets: &[u32], scratch: &mut DecodeScratch) {
-        match self.weights {
-            Weights::Gwt(_) => self.stage_block(dets, scratch),
-            Weights::Local { .. } => {
-                scratch.boundary.clear();
-                scratch
-                    .boundary
-                    .extend(dets.iter().map(|&d| self.boundary_w(d)));
-            }
-        }
-    }
-
-    /// Pair `(i, j)` of the block [`Self::stage_deep_block`] staged for
-    /// `dets`, clamped to `2 · WEIGHT_CLAMP`: the arena copy on the table
-    /// backend, the provider's staged value on the local one — the value
-    /// the gather would have copied, bit for bit.
-    #[inline]
-    fn block_w(&self, dets: &[u32], arena: &[f64], i: usize, j: usize) -> f64 {
-        match self.weights {
-            Weights::Gwt(_) => arena[i * dets.len() + j],
-            Weights::Local { .. } => self.pair_w(dets[i], dets[j]).min(2.0 * WEIGHT_CLAMP),
-        }
     }
 
     /// Staged block plus the memoized subset DP for `k ≤ DP_NODE_LIMIT`.
@@ -455,7 +469,10 @@ impl<'a> MwpmDecoder<'a> {
     }
 
     /// A raw exact weight seen in the active domain: itself, or its
-    /// quantized view dequantized. Monotone, so bounds stay bounds.
+    /// quantized view dequantized (the table's `u8` cell over the scale,
+    /// bit for bit). The decoder's one domain map; only the quantized
+    /// closed form skips it, to sum `quantize(w, scale)` in integers.
+    /// Monotone, so bounds stay bounds.
     #[inline]
     fn active(&self, w: f64) -> f64 {
         if self.use_quantized {
@@ -466,9 +483,12 @@ impl<'a> MwpmDecoder<'a> {
     }
 
     /// Deep syndromes (`k > DP_NODE_LIMIT`): one whole-shot
-    /// [`sparse_blossom`] solve over the block [`Self::stage_deep_block`]
-    /// staged, after the boundary reduction `min(wᵢⱼ, bᵢ + bⱼ)` and one
-    /// virtual boundary node for odd `k`. There is no cluster split, so
+    /// [`sparse_blossom`] solve, after the boundary reduction
+    /// `min(wᵢⱼ, bᵢ + bⱼ)` and one virtual boundary node for odd `k`.
+    /// Only the boundary vector goes to the arena; the solver reads each
+    /// pair once, row by row in ascending order, in place from the table
+    /// or the provider's staged block, so the deep tail keeps no k×k copy
+    /// of the weights per worker. There is no cluster split, so
     /// [`DP_NODE_LIMIT`] is a per-shot limit. On a graph-pd block the
     /// solve is priced and repaired until no unsearched pair violates
     /// the final duals (see the `decoding_graph::graph_pd` module docs),
@@ -484,16 +504,19 @@ impl<'a> MwpmDecoder<'a> {
     ) {
         let k = dets.len();
         let n = k + k % 2; // virtual boundary node last
-        self.stage_deep_block(dets, scratch);
+        scratch.boundary.clear();
+        scratch
+            .boundary
+            .extend(dets.iter().map(|&d| self.boundary_w(d)));
         loop {
-            let (weights, boundary) = (&scratch.weights, &scratch.boundary);
+            let boundary = &scratch.boundary;
             sparse_blossom::min_weight_perfect_matching_scratch(
                 n,
                 |i, j| {
                     Self::fixed(if i >= k || j >= k {
                         boundary[i.min(j)].min(WEIGHT_CLAMP)
                     } else {
-                        Self::reduce(self.block_w(dets, weights, i, j), boundary[i], boundary[j])
+                        Self::reduce(self.pair_w(dets[i], dets[j]), boundary[i], boundary[j])
                     })
                 },
                 &mut scratch.sparse,
@@ -568,6 +591,55 @@ impl<'a> MwpmDecoder<'a> {
     }
 }
 
+/// The closed form's operands for a `k ≤ 4` detector list: the pair
+/// weights in the triangular order `(0,1), (0,2), (0,3), (1,2), (1,3),
+/// (2,3)` and the boundary weights, each read once through the
+/// accessors, row by row in ascending order.
+#[inline(always)]
+fn gather_small<T: Copy + Default>(
+    dets: &[u32],
+    pair: impl Fn(u32, u32) -> T,
+    boundary: impl Fn(u32) -> T,
+) -> ([T; 6], [T; 4]) {
+    debug_assert!(dets.len() <= 4);
+    let mut pairs = [T::default(); 6];
+    let mut bounds = [T::default(); 4];
+    let mut p = 0;
+    for (i, &di) in dets.iter().enumerate() {
+        bounds[i] = boundary(di);
+        for &dj in &dets[i + 1..] {
+            pairs[p] = pair(di, dj);
+            p += 1;
+        }
+    }
+    (pairs, bounds)
+}
+
+/// The subset DP's operands for a detector list: the row-major k×k pair
+/// block (diagonal zero) into `weights` and the boundary vector into
+/// `bounds`, each cell read once through the accessors, row by row.
+fn gather_block(
+    dets: &[u32],
+    pair: impl Fn(u32, u32) -> f64,
+    boundary: impl Fn(u32) -> f64,
+    weights: &mut Vec<f64>,
+    bounds: &mut Vec<f64>,
+) {
+    let k = dets.len();
+    weights.clear();
+    weights.resize(k * k, 0.0);
+    bounds.clear();
+    bounds.extend(dets.iter().map(|&d| boundary(d)));
+    for (i, &di) in dets.iter().enumerate() {
+        let row = &mut weights[i * k..][..k];
+        for (j, &dj) in dets.iter().enumerate() {
+            if j != i {
+                row[j] = pair(di, dj);
+            }
+        }
+    }
+}
+
 impl Decoder for MwpmDecoder<'_> {
     fn decode(&mut self, detectors: &[u32]) -> Prediction {
         self.decode_with_scratch(detectors, &mut DecodeScratch::new())
@@ -594,8 +666,8 @@ impl Decoder for MwpmDecoder<'_> {
     /// closed-form tier (`decoder.closed_form.ns_per_shot`,
     /// `ler-d7-low`). Every other case — the quantized view, the staged
     /// local backend, `k > 4` — decodes per shot, exactly like the
-    /// trait's default. The operands are what the per-shot closed form
-    /// gathers, so every prediction is bit-identical to
+    /// trait's default. The operands come from the per-shot closed
+    /// form's own gather, so every prediction is bit-identical to
     /// `decode_with_scratch` on the same list.
     fn decode_same_weight_batch(
         &mut self,
@@ -609,19 +681,17 @@ impl Decoder for MwpmDecoder<'_> {
             k * out.len(),
             "batch detector buffer does not hold out.len() lists of {k}"
         );
-        let gwt = match self.weights {
-            Weights::Gwt(gwt) if (1..=4).contains(&k) && !self.use_quantized => gwt,
-            _ => {
-                for (s, slot) in out.iter_mut().enumerate() {
-                    *slot = self.decode_with_scratch(&detectors[s * k..][..k], scratch);
-                }
-                return;
+        let table = matches!(self.weights, Weights::Gwt(_));
+        if !(table && (1..=4).contains(&k) && !self.use_quantized) {
+            for (s, slot) in out.iter_mut().enumerate() {
+                *slot = self.decode_with_scratch(&detectors[s * k..][..k], scratch);
             }
-        };
+            return;
+        }
         scratch.weights.clear();
         scratch.boundary.clear();
         for list in detectors.chunks_exact(k) {
-            let (w, b) = gwt.gather_small_exact(list, 2.0 * WEIGHT_CLAMP);
+            let (w, b) = self.exact_small_operands(list);
             scratch.weights.extend_from_slice(&w);
             scratch.boundary.extend_from_slice(&b);
         }
@@ -856,6 +926,47 @@ mod tests {
             assert!(
                 scratch.sparse.solves > 0,
                 "sparse solver never engaged on the deep path"
+            );
+        }
+    }
+
+    #[test]
+    fn table_deep_solve_reads_weights_in_place() {
+        use qec_circuit::DemSampler;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // The deep solve reads the table in place, as it reads the
+        // provider's staged block: a deep shot decoded on a fresh arena
+        // leaves the DP band's k×k block unallocated and still reaches
+        // the dense blossom's optimum, in both weight domains.
+        let ctx = ctx(7, 2e-2);
+        let mut sampler = DemSampler::new(ctx.dem());
+        let mut rng = StdRng::seed_from_u64(12);
+        let dets = std::iter::repeat_with(|| sampler.sample(&mut rng).detectors.clone())
+            .find(|d| d.len() > DP_NODE_LIMIT)
+            .unwrap();
+        for quantized in [false, true] {
+            let mut dec = if quantized {
+                MwpmDecoder::with_quantized_weights(ctx.gwt())
+            } else {
+                MwpmDecoder::new(ctx.gwt())
+            };
+            let mut scratch = DecodeScratch::new();
+            dec.decode_with_scratch(&dets, &mut scratch);
+            assert_eq!(scratch.sparse.solves, 1);
+            assert!(
+                scratch.weights.is_empty(),
+                "the deep solve copied {} weights",
+                scratch.weights.len()
+            );
+            assert_eq!(scratch.boundary.len(), dets.len());
+            let full = dec.decode_full(&dets);
+            let want = dense_oracle(&dec, &dets);
+            assert!(
+                (full.weight - want).abs() <= 1e-6 * want.abs().max(1.0),
+                "engine {} vs dense oracle {want} on {dets:?}",
+                full.weight
             );
         }
     }

@@ -1,8 +1,9 @@
 //! Exact minimum-weight perfect matching, and the idealized software MWPM
 //! decoder the Astrea paper uses as its gold-standard baseline (§3.3).
 //!
-//! Three exact solvers run in production, all over weights staged once
-//! per shot:
+//! Three exact solvers run in production, all over one read path: the
+//! exact weight of each pair and detector from whichever backend holds
+//! it, mapped into the decoder's weight domain at one point:
 //!
 //! * the register-only closed form
 //!   ([`subset_dp::solve_closed_form`]) for up to four detectors;

@@ -133,11 +133,12 @@ pub fn solve_with_scratch(
 /// `scratch.weights` must hold the symmetric `k × k` pair-weight matrix
 /// (diagonal ignored) and `scratch.boundary` the `k` boundary weights.
 ///
-/// Splitting staging from solving lets callers that can gather weights in
-/// bulk (see `GlobalWeightTable::gather_exact_clamped`) skip the per-entry
-/// closure protocol entirely. Components of ≤ 4 nodes — the common case
-/// once the adjacency pruning decomposes a realistic syndrome — are
-/// solved by the register-only closed form instead of the submask DP.
+/// Splitting staging from solving lets a caller gather the block in one
+/// row-by-row pass over its weight backend (the MWPM decoder's DP band
+/// does, on either backend) and skip the per-entry closure protocol.
+/// Components of ≤ 4 nodes — the common case once the adjacency pruning
+/// decomposes a realistic syndrome — are solved by the register-only
+/// closed form instead of the submask DP.
 ///
 /// On return `scratch.mate[..k]` holds the assignment (`usize::MAX` =
 /// boundary) and the optimal total weight is returned.
@@ -434,7 +435,8 @@ where
 
 /// The `k = 4` closed form over pre-gathered operands: pair weights in
 /// the triangular order `(0,1), (0,2), (0,3), (1,2), (1,3), (2,3)` —
-/// exactly what `GlobalWeightTable::gather_small_quantized` produces.
+/// exactly the order the MWPM decoder's closed-form operand gather
+/// writes.
 pub fn solve_closed_form_4<T>(w: &[T; 6], b: &[T; 4], mate: &mut [usize; 4]) -> T
 where
     T: Copy + PartialOrd + std::ops::Add<Output = T>,

@@ -210,115 +210,19 @@ impl GlobalWeightTable {
     pub fn dequantize(&self, q: u16) -> f64 {
         q as f64 / self.scale
     }
-
-    /// Gathers the closed-form operand set for a k ≤ 4 detector list
-    /// straight from the quantized table: pair weights in the triangular
-    /// order `(0,1), (0,2), (0,3), (1,2), (1,3), (2,3)` plus the boundary
-    /// weights — integer domain end to end, no dequantization.
-    ///
-    /// Each source row is swept forward once (ascending `dets` keeps the
-    /// reads monotonic), which is the whole point versus k² independent
-    /// `pair_weight_q` calls.
-    pub fn gather_small_quantized(&self, dets: &[u32]) -> ([u16; 6], [u16; 4]) {
-        let k = dets.len();
-        debug_assert!(k <= 4);
-        let mut pairs = [0u16; 6];
-        let mut boundary = [0u16; 4];
-        let mut p = 0;
-        for (i, &di) in dets.iter().enumerate() {
-            let row = &self.quantized[di as usize * self.len..][..self.len];
-            boundary[i] = row[di as usize] as u16;
-            for &dj in &dets[i + 1..] {
-                pairs[p] = row[dj as usize] as u16;
-                p += 1;
-            }
-        }
-        (pairs, boundary)
-    }
-
-    /// The `f64` sibling of [`gather_small_quantized`](Self::gather_small_quantized)
-    /// for the idealized (unquantized) decoder; pair weights are clamped
-    /// to `clamp` exactly as the staged decode path clamps them.
-    pub fn gather_small_exact(&self, dets: &[u32], clamp: f64) -> ([f64; 6], [f64; 4]) {
-        let k = dets.len();
-        debug_assert!(k <= 4);
-        let mut pairs = [0f64; 6];
-        let mut boundary = [0f64; 4];
-        let mut p = 0;
-        for (i, &di) in dets.iter().enumerate() {
-            let row = &self.exact[di as usize * self.len..][..self.len];
-            boundary[i] = row[di as usize];
-            for &dj in &dets[i + 1..] {
-                pairs[p] = row[dj as usize].min(clamp);
-                p += 1;
-            }
-        }
-        (pairs, boundary)
-    }
-
-    /// Stages the full k×k exact weight matrix (pairs clamped to `clamp`,
-    /// diagonal zero) and boundary vector for a sparse detector list —
-    /// the batched replacement for staging via k² random single-entry
-    /// closures. Rows are swept forward-contiguously.
-    pub fn gather_exact_clamped(
-        &self,
-        dets: &[u32],
-        clamp: f64,
-        weights: &mut Vec<f64>,
-        boundary: &mut Vec<f64>,
-    ) {
-        let k = dets.len();
-        weights.clear();
-        weights.resize(k * k, 0.0);
-        boundary.clear();
-        boundary.resize(k, 0.0);
-        for (i, &di) in dets.iter().enumerate() {
-            let row = &self.exact[di as usize * self.len..][..self.len];
-            boundary[i] = row[di as usize];
-            let dst = &mut weights[i * k..][..k];
-            for (j, &dj) in dets.iter().enumerate() {
-                if j != i {
-                    dst[j] = row[dj as usize].min(clamp);
-                }
-            }
-        }
-    }
-
-    /// The quantized-view sibling of
-    /// [`gather_exact_clamped`](Self::gather_exact_clamped): the k×k
-    /// dequantized pair matrix (`q as f64 / scale`, clamped to `clamp`,
-    /// diagonal zero) and the dequantized boundary vector, swept from the
-    /// compact `u8` rows.
-    pub fn gather_quantized_clamped(
-        &self,
-        dets: &[u32],
-        clamp: f64,
-        weights: &mut Vec<f64>,
-        boundary: &mut Vec<f64>,
-    ) {
-        let k = dets.len();
-        weights.clear();
-        weights.resize(k * k, 0.0);
-        boundary.clear();
-        boundary.resize(k, 0.0);
-        for (i, &di) in dets.iter().enumerate() {
-            let row = &self.quantized[di as usize * self.len..][..self.len];
-            boundary[i] = row[di as usize] as f64 / self.scale;
-            let dst = &mut weights[i * k..][..k];
-            for (j, &dj) in dets.iter().enumerate() {
-                if j != i {
-                    dst[j] = (row[dj as usize] as f64 / self.scale).min(clamp);
-                }
-            }
-        }
-    }
 }
 
 /// Fixed-point quantization of a `−log₁₀ P` weight: round to the nearest
 /// subunit, saturating at `u8::MAX` (which non-finite weights map to).
-/// Shared by the table builder, the GWT-free local provider and the
-/// deep solve's pricing step, so all derive identical quantized views.
-/// Monotone in `weight`, so it maps a lower bound to a lower bound.
+/// Every quantized cell is this function of an exact weight: the table's
+/// `u8` rows and diagonal, [`BoundaryTable::weight_q`], and the
+/// quantized `MwpmDecoder`'s one domain map, which reads each exact
+/// weight from either backend and quantizes it at one point (the
+/// closed form's integer operands, `quantize(w, scale) / scale` for
+/// everything else, the deep solve's pricing bounds included). So the
+/// table and the GWT-free local path derive bit-identical quantized
+/// views, at any scale. Monotone in `weight`, so it maps a lower bound
+/// to a lower bound.
 pub fn quantize(weight: f64, scale: f64) -> u8 {
     if !weight.is_finite() {
         return u8::MAX;
@@ -468,57 +372,50 @@ mod tests {
 
     #[test]
     fn gathers_match_single_entry_accessors() {
-        let t = gwt(3, 2e-3);
-        let n = t.len() as u32;
-        let lists: Vec<Vec<u32>> = vec![
-            vec![0],
-            vec![1, 4],
-            vec![0, 2, 7],
-            vec![3, 5, 8, n - 1],
-            vec![0, 1, 2, 3, 4, 9, 11, n - 2, n - 1],
-        ];
-        for dets in &lists {
-            let k = dets.len();
-            let (mut wq, mut bq) = (Vec::new(), Vec::new());
-            t.gather_quantized_clamped(dets, 2e4, &mut wq, &mut bq);
-            let mut w = Vec::new();
-            let mut b = Vec::new();
-            t.gather_exact_clamped(dets, 2e4, &mut w, &mut b);
-            for i in 0..k {
-                assert_eq!(bq[i], t.dequantize(t.boundary_weight_q(dets[i]) as u16));
-                assert_eq!(b[i].to_bits(), t.boundary_weight(dets[i]).to_bits());
-                assert_eq!(w[i * k + i], 0.0);
-                assert_eq!(wq[i * k + i], 0.0);
-                for j in 0..k {
-                    if i != j {
-                        assert_eq!(
-                            wq[i * k + j],
-                            t.dequantize(t.pair_weight_q(dets[i], dets[j]) as u16)
-                        );
-                        assert_eq!(
-                            w[i * k + j].to_bits(),
-                            t.pair_weight(dets[i], dets[j]).min(2e4).to_bits()
-                        );
-                    }
-                }
-            }
-            if k <= 4 {
-                let (pq, bq) = t.gather_small_quantized(dets);
-                let (pe, be) = t.gather_small_exact(dets, 2e4);
-                let mut p = 0;
-                for i in 0..k {
-                    assert_eq!(bq[i], t.boundary_weight_q(dets[i]) as u16);
-                    assert_eq!(be[i].to_bits(), t.boundary_weight(dets[i]).to_bits());
-                    for j in (i + 1)..k {
-                        assert_eq!(pq[p], t.pair_weight_q(dets[i], dets[j]) as u16);
-                        assert_eq!(
-                            pe[p].to_bits(),
-                            t.pair_weight(dets[i], dets[j]).min(2e4).to_bits()
-                        );
-                        p += 1;
-                    }
+        // Every quantized cell, diagonal included, is `quantize` of the
+        // exact cell at the table's scale: the invariant that lets the
+        // decoder derive its quantized view from the exact weights alone.
+        fn assert_cells_quantize_exact(t: &GlobalWeightTable) {
+            let n = t.len() as u32;
+            for i in 0..n {
+                assert_eq!(
+                    t.boundary_weight_q(i),
+                    quantize(t.boundary_weight(i), t.scale()),
+                    "boundary {i} at scale {}",
+                    t.scale()
+                );
+                for j in 0..n {
+                    assert_eq!(
+                        t.pair_weight_q(i, j),
+                        quantize(t.pair_weight(i, j), t.scale()),
+                        "({i},{j}) at scale {}",
+                        t.scale()
+                    );
                 }
             }
         }
+        let code = SurfaceCode::new(3).unwrap();
+        let circuit = build_memory_z_circuit(&code, 3, NoiseModel::depolarizing(2e-3));
+        let g = MatchingGraph::from_circuit(&circuit);
+        let built = GlobalWeightTable::new(&g);
+        assert_cells_quantize_exact(&built);
+        assert_cells_quantize_exact(&GlobalWeightTable::with_scale(&g, 10.0));
+        // A programmed table: the built weights symmetrized, one pair
+        // disconnected, at a scale that is not a power of two.
+        let n = built.len();
+        let mut exact = vec![0.0; n * n];
+        let mut obs = vec![0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let (a, b) = (i.min(j) as u32, i.max(j) as u32);
+                exact[i * n + j] = built.pair_weight(a, b);
+                obs[i * n + j] = built.pair_obs(a, b);
+            }
+        }
+        exact[1] = f64::INFINITY;
+        exact[n] = f64::INFINITY;
+        let programmed = GlobalWeightTable::from_parts(n, exact, obs, 6.0);
+        assert_eq!(programmed.pair_weight_q(0, 1), u8::MAX);
+        assert_cells_quantize_exact(&programmed);
     }
 }

@@ -420,11 +420,6 @@ impl<'a> LocalWeightProvider<'a> {
         self.boundary
     }
 
-    /// The fixed-point scale of the quantized view.
-    pub fn scale(&self) -> f64 {
-        self.boundary.scale()
-    }
-
     /// Work counters since construction.
     pub fn stats(&self) -> LocalWeightStats {
         self.stats
@@ -926,124 +921,12 @@ impl<'a> LocalWeightProvider<'a> {
         self.weights[self.slot_of(i) * self.dets.len() + self.slot_of(j)]
     }
 
-    /// Quantized pair weight: bit-identical to `gwt.pair_weight_q(i, j)`
-    /// when settled, `u8::MAX` when dominated (in which case the true
-    /// quantized weight also exceeds `qbᵢ + qbⱼ`, so comparisons agree)
-    /// or unsearched.
-    #[inline]
-    pub fn pair_weight_q(&self, i: u32, j: u32) -> u8 {
-        quantize(self.pair_weight(i, j), self.boundary.scale())
-    }
-
     /// Observable parity of the staged shortest path `i → j`. Only
     /// meaningful for settled pairs; decoders read it only for pairs they
     /// mate, which are always settled.
     #[inline]
     pub fn pair_obs(&self, i: u32, j: u32) -> u32 {
         self.obs[self.slot_of(i) * self.dets.len() + self.slot_of(j)]
-    }
-
-    /// The staged counterpart of
-    /// [`GlobalWeightTable::gather_small_quantized`](crate::GlobalWeightTable::gather_small_quantized):
-    /// triangular pair order `(0,1), (0,2), (0,3), (1,2), (1,3), (2,3)`
-    /// plus boundary weights, for `dets` a (sub)set of the staged list.
-    pub fn gather_small_quantized(&self, dets: &[u32]) -> ([u16; 6], [u16; 4]) {
-        let k = dets.len();
-        debug_assert!(k <= 4);
-        let n = self.dets.len();
-        let scale = self.boundary.scale();
-        let mut pairs = [0u16; 6];
-        let mut boundary = [0u16; 4];
-        let mut p = 0;
-        for (i, &di) in dets.iter().enumerate() {
-            let row = self.slot_of(di) * n;
-            boundary[i] = self.boundary.weight_q(di) as u16;
-            for &dj in &dets[i + 1..] {
-                pairs[p] = quantize(self.weights[row + self.slot_of(dj)], scale) as u16;
-                p += 1;
-            }
-        }
-        (pairs, boundary)
-    }
-
-    /// The staged counterpart of
-    /// [`GlobalWeightTable::gather_small_exact`](crate::GlobalWeightTable::gather_small_exact).
-    pub fn gather_small_exact(&self, dets: &[u32], clamp: f64) -> ([f64; 6], [f64; 4]) {
-        let k = dets.len();
-        debug_assert!(k <= 4);
-        let n = self.dets.len();
-        let mut pairs = [0f64; 6];
-        let mut boundary = [0f64; 4];
-        let mut p = 0;
-        for (i, &di) in dets.iter().enumerate() {
-            let row = self.slot_of(di) * n;
-            boundary[i] = self.boundary.weight(di);
-            for &dj in &dets[i + 1..] {
-                pairs[p] = self.weights[row + self.slot_of(dj)].min(clamp);
-                p += 1;
-            }
-        }
-        (pairs, boundary)
-    }
-
-    /// The staged counterpart of
-    /// [`GlobalWeightTable::gather_exact_clamped`](crate::GlobalWeightTable::gather_exact_clamped):
-    /// k×k clamped pair matrix (diagonal zero) plus the raw boundary
-    /// vector, for `dets` a (sub)set of the staged list.
-    pub fn gather_exact_clamped(
-        &self,
-        dets: &[u32],
-        clamp: f64,
-        weights: &mut Vec<f64>,
-        boundary: &mut Vec<f64>,
-    ) {
-        let k = dets.len();
-        let n = self.dets.len();
-        weights.clear();
-        weights.resize(k * k, 0.0);
-        boundary.clear();
-        boundary.resize(k, 0.0);
-        for (i, &di) in dets.iter().enumerate() {
-            let row = self.slot_of(di) * n;
-            boundary[i] = self.boundary.weight(di);
-            let dst = &mut weights[i * k..][..k];
-            for (j, &dj) in dets.iter().enumerate() {
-                if j != i {
-                    dst[j] = self.weights[row + self.slot_of(dj)].min(clamp);
-                }
-            }
-        }
-    }
-
-    /// The staged counterpart of
-    /// [`GlobalWeightTable::gather_quantized_clamped`](crate::GlobalWeightTable::gather_quantized_clamped):
-    /// the same dequantized values (`q as f64 / scale`, pairs clamped),
-    /// drawn from the staged block instead.
-    pub fn gather_quantized_clamped(
-        &self,
-        dets: &[u32],
-        clamp: f64,
-        weights: &mut Vec<f64>,
-        boundary: &mut Vec<f64>,
-    ) {
-        let k = dets.len();
-        let n = self.dets.len();
-        let scale = self.boundary.scale();
-        weights.clear();
-        weights.resize(k * k, 0.0);
-        boundary.clear();
-        boundary.resize(k, 0.0);
-        for (i, &di) in dets.iter().enumerate() {
-            let row = self.slot_of(di) * n;
-            boundary[i] = self.boundary.weight_q(di) as f64 / scale;
-            let dst = &mut weights[i * k..][..k];
-            for (j, &dj) in dets.iter().enumerate() {
-                if j != i {
-                    let q = quantize(self.weights[row + self.slot_of(dj)], scale);
-                    dst[j] = (q as f64 / scale).min(clamp);
-                }
-            }
-        }
     }
 }
 
@@ -1117,7 +1000,7 @@ mod tests {
                             "settled ({a},{b}) differs"
                         );
                         assert_eq!(p.pair_obs(a, b), gwt.pair_obs(a, b));
-                        assert_eq!(p.pair_weight_q(a, b), gwt.pair_weight_q(a, b));
+                        assert_eq!(quantize(staged, bt.scale()), gwt.pair_weight_q(a, b));
                     } else {
                         // Dominated: the true weight must exceed the
                         // boundary alternative in both weight domains.
@@ -1160,49 +1043,47 @@ mod tests {
 
     #[test]
     fn gathers_match_gwt_gathers() {
+        // The decoder reads the staged block through `pair_weight` alone
+        // and derives its quantized view with `quantize`, so each staged
+        // cell must carry the GWT's value in both domains, or be
+        // dominated in both.
         let g = graph(5, 2e-3);
         let gwt = GlobalWeightTable::new(&g);
         let bt = BoundaryTable::new(&g);
         let mut p = LocalWeightProvider::new(&g, &bt);
+        let scale = bt.scale();
         let dets = vec![2u32, 9, 15, 33];
         p.stage(&dets);
-        let (pe_l, be_l) = p.gather_small_exact(&dets, 2e4);
-        let (pe_g, be_g) = gwt.gather_small_exact(&dets, 2e4);
-        let (pq_l, bq_l) = p.gather_small_quantized(&dets);
-        let (pq_g, bq_g) = gwt.gather_small_quantized(&dets);
-        let mut t = 0;
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                if p.pair_weight(dets[i], dets[j]).is_finite() {
-                    // Settled: bit-equal to the GWT gather.
-                    assert_eq!(pe_l[t].to_bits(), pe_g[t].to_bits());
-                    assert_eq!(pq_l[t], pq_g[t]);
+        for (i, &a) in dets.iter().enumerate() {
+            assert_eq!(bt.weight(a).to_bits(), gwt.boundary_weight(a).to_bits());
+            for &b in &dets[i + 1..] {
+                let staged = p.pair_weight(a, b);
+                if staged.is_finite() {
+                    // Settled: bit-equal to the GWT in both domains.
+                    assert_eq!(staged.to_bits(), gwt.pair_weight(a, b).to_bits());
+                    assert_eq!(quantize(staged, scale), gwt.pair_weight_q(a, b));
                 } else {
-                    // Dominated: local clamps/saturates, and the true
-                    // value must beat the boundary sum in both domains.
-                    assert_eq!(pe_l[t], 2e4);
-                    assert_eq!(pq_l[t], u8::MAX as u16);
-                    assert!(pe_g[t] > be_g[i] + be_g[j]);
-                    assert!(pq_g[t] > bq_g[i] + bq_g[j]);
+                    // Dominated: saturates, and the true value must beat
+                    // the boundary sum in both domains.
+                    assert_eq!(quantize(staged, scale), u8::MAX);
+                    assert!(gwt.pair_weight(a, b) > bt.weight(a) + bt.weight(b));
+                    assert!(
+                        gwt.pair_weight_q(a, b) as u16
+                            > bt.weight_q(a) as u16 + bt.weight_q(b) as u16
+                    );
                 }
-                t += 1;
             }
         }
-        assert_eq!(be_l, be_g);
-        assert_eq!(bq_l, bq_g);
-
-        let (mut wl, mut bl) = (Vec::new(), Vec::new());
-        let (mut wg, mut bg) = (Vec::new(), Vec::new());
-        p.gather_exact_clamped(&dets, 2e4, &mut wl, &mut bl);
-        gwt.gather_exact_clamped(&dets, 2e4, &mut wg, &mut bg);
-        assert_eq!(bl, bg);
-        // Sub-list gathers read the staged block through the slot map.
-        let sub = vec![9u32, 33];
-        let (mut wsl, mut bsl) = (Vec::new(), Vec::new());
-        p.gather_exact_clamped(&sub, 2e4, &mut wsl, &mut bsl);
-        assert_eq!(bsl, vec![bt.weight(9), bt.weight(33)]);
-        assert_eq!(wsl[0], 0.0);
-        assert_eq!(wsl[1].to_bits(), wl[4 + 3].to_bits());
+        // A sub-list of the staged one reads the block through the slot
+        // map: both mirror cells, equal to the full list's read.
+        let (a, b) = (9u32, 33u32);
+        let cell = p.pair_weight(a, b);
+        assert_eq!(p.pair_weight(b, a).to_bits(), cell.to_bits());
+        assert_eq!(p.pair_obs(b, a), p.pair_obs(a, b));
+        if cell.is_finite() {
+            assert_eq!(cell.to_bits(), gwt.pair_weight(a, b).to_bits());
+            assert_eq!(p.pair_obs(a, b), gwt.pair_obs(a, b));
+        }
     }
 
     #[test]
@@ -1289,7 +1170,7 @@ mod tests {
                                 staged.pair_obs(a, b),
                                 "({a},{b}) parity differs"
                             );
-                            assert_eq!(ondemand.pair_weight_q(a, b), staged.pair_weight_q(a, b));
+                            assert_eq!(quantize(ov, scale), quantize(sv, scale));
                             // Mirror is symmetric.
                             assert_eq!(ondemand.pair_weight(b, a).to_bits(), ov.to_bits());
                             assert_eq!(ondemand.pair_obs(b, a), ondemand.pair_obs(a, b));

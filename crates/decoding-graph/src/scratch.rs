@@ -135,7 +135,9 @@ impl SparseBlossomScratch {
 /// `resize`) what it uses.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    /// Dense pairwise weight matrix (row-major, `k × k`).
+    /// Dense pairwise weight matrix (row-major, `k × k`): the subset DP
+    /// band's block, and the exact table's batched closed-form operands.
+    /// The deep solve reads its weights in place and leaves it alone.
     pub weights: Vec<f64>,
     /// Per-node boundary weights.
     pub boundary: Vec<f64>,

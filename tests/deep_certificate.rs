@@ -15,9 +15,11 @@
 //!
 //! so the mate is a minimum-weight perfect matching of the exact
 //! weights (`mwpm_oracle::certificate::check_certificate_against`). Both
-//! weight domains run, at d = 15 and d = 21.
+//! weight domains run, at d = 15 and d = 21, and in release builds at
+//! d = 31 for p = 10⁻³ and p = 5×10⁻³.
 //!
-//! A chain check backs the matched pairs at d = 15 on the exact axis:
+//! A chain check backs the matched pairs at d = 15 (and, in release
+//! builds, at d = 31, p = 10⁻³) on the exact axis:
 //! every pair `decode_full` reports must have a reconstructed shortest
 //! chain whose weight, summed from its first detector in path order,
 //! equals the staged oracle's cell bit for bit, and whose parity equals
@@ -25,6 +27,7 @@
 //! those parities and the boundary chains'.
 
 use astrea::prelude::*;
+use decoding_graph::quantize;
 use mwpm_oracle::certificate::check_certificate_against;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +36,14 @@ use rand::SeedableRng;
 /// (`blossom_mwpm::decoder`).
 const BLOSSOM_SCALE: f64 = 65_536.0;
 const WEIGHT_CLAMP: f64 = 1e4;
+
+/// Shot counts of the d = 31 axis, which runs in release builds only
+/// (CI's certificate step). Measured on one core of a two-vCPU host, a
+/// deep d = 31 shot costs about 0.2 s at p = 10⁻³ and about 1 s at
+/// p = 5×10⁻³ per weight axis, staged oracle included, after about 3 s
+/// of context setup per test.
+const D31_LOW_P_SHOTS: usize = 16;
+const D31_HIGH_P_SHOTS: usize = 4;
 
 /// Debug builds (the tier-1 `cargo test -q` gate) run a scaled-down
 /// count; CI's release step runs the full one.
@@ -81,7 +92,7 @@ fn certify(d: usize, p: f64, seed: u64, full: usize) {
             let (pair, boundary) = (
                 |a: u32, b: u32| {
                     if quantized {
-                        oracle.pair_weight_q(a, b) as f64 / scale
+                        quantize(oracle.pair_weight(a, b), scale) as f64 / scale
                     } else {
                         oracle.pair_weight(a, b)
                     }
@@ -127,8 +138,34 @@ fn deep_decodes_are_optimal_under_exact_weights_at_d21() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: CI certificate step")]
+fn deep_decodes_are_optimal_under_exact_weights_at_d31_p1e3() {
+    certify(31, 1e-3, 3131, D31_LOW_P_SHOTS);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: CI certificate step")]
+fn deep_decodes_are_optimal_under_exact_weights_at_d31_p5e3() {
+    certify(31, 5e-3, 3131, D31_HIGH_P_SHOTS);
+}
+
+#[test]
 fn matched_pairs_are_backed_by_reconstructed_chains_at_d15() {
-    let (ctx, corpus) = deep_corpus(15, 5e-3, 1515, 64);
+    check_chains(15, 5e-3, 1515, 64);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release-only: CI certificate step")]
+fn matched_pairs_are_backed_by_reconstructed_chains_at_d31() {
+    check_chains(31, 1e-3, 3131, D31_LOW_P_SHOTS);
+}
+
+/// Decodes `shots(full)` sampled deep shots of a GWT-free (d, p) point
+/// with the production decoder on the exact axis, and backs every
+/// matched pair of `decode_full` by a reconstructed chain of the staged
+/// oracle's weight and parity.
+fn check_chains(d: usize, p: f64, seed: u64, full: usize) {
+    let (ctx, corpus) = deep_corpus(d, p, seed, full);
     let (graph, bt) = (ctx.graph(), ctx.decoding().boundary());
     let paths = PathReconstructor::new(graph);
     let mut oracle = LocalWeightProvider::new(graph, bt);

@@ -31,6 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 use astrea::prelude::*;
 use blossom_mwpm::MatchingSolution;
+use decoding_graph::quantize;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,7 +95,7 @@ fn matching_weight(sol: &MatchingSolution, oracle: &LocalWeightProvider, quantiz
     let mut w = 0.0;
     for &(a, b) in &sol.pairs {
         let pw = if quantized {
-            oracle.pair_weight_q(a, b) as f64 / scale
+            quantize(oracle.pair_weight(a, b), scale) as f64 / scale
         } else {
             oracle.pair_weight(a, b)
         };
